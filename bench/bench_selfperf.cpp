@@ -30,6 +30,7 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -37,6 +38,10 @@
 #include "common.h"
 #include "core/compiled.h"
 #include "json.h"
+#include "model/gpu_specs.h"
+#include "model/model_config.h"
+#include "model/paper_cost.h"
+#include "model/problem_factory.h"
 #include "nn/model.h"
 #include "obs/health.h"
 #include "obs/prof.h"
@@ -213,6 +218,39 @@ void bench_sweep(Harness& h, obs::prof::Registry& reg,
     std::printf("  -> batched sweep speedup over naive loop: %.1fx\n",
                 *naive_s / *batched_s);
   }
+}
+
+// A cold capacity-planner query priced with PaperCostModel, as
+// cluster_planner runs it: 7B at 128k tokens on H20, p in {2, 4, 8} x every
+// family, with a fresh Sweep (cold memo) per rep. Its counters land under
+// their own phase so the UnitCostModel sweep/ counters above keep their
+// values.
+void bench_paper_sweep(Harness& h, obs::prof::Registry& reg) {
+  reg.set_phase("sweep/paper_cold");
+  const model::ModelConfig mc = model::gpt_7b();
+  const model::ClusterSpec cluster = model::h20_cluster();
+  const model::i64 seq = 128 * 1024;
+  std::vector<std::unique_ptr<model::PaperCostModel>> costs;
+  std::vector<sim::SweepItem> items;
+  for (const int p : {2, 4, 8}) {
+    const model::TrainSetup setup{.seq_len = seq, .micro_batch = 1, .pipeline = p,
+                                  .micro_batches = 2 * p, .sp = 8};
+    const core::PipelineProblem pr = model::make_problem(mc, setup);
+    costs.push_back(std::make_unique<model::PaperCostModel>(
+        model::TimingModel(cluster, {}, setup.sp), mc,
+        model::LayerDims{.s = seq, .b = 1, .h = mc.hidden}, p));
+    const auto lw_base = model::layerwise_base_memory(mc, setup);
+    const auto hx_base = model::helix_base_memory(mc, setup);
+    for (const schedules::FamilySpec& f : schedules::family_registry()) {
+      const bool helix = std::string(f.key).rfind("helix", 0) == 0;
+      items.push_back({f.key, pr, costs.back().get(), helix ? hx_base : lw_base});
+    }
+  }
+  h.measure("sweep/paper_cold/7B_128k_H20", [&] {
+    sim::Sweep sweep;
+    const auto results = sweep.run(items);
+    if (results.size() != items.size() || !results.front().ok) std::abort();
+  });
 }
 
 // The schedule autotuner (DESIGN §15): table round-trip cost, and one
@@ -451,6 +489,7 @@ int main(int argc, char** argv) {
   bench_simulate(h, reg, pipeline_sizes);
   double sweep_naive_s = 0, sweep_batched_s = 0;
   bench_sweep(h, reg, pipeline_sizes, &sweep_naive_s, &sweep_batched_s);
+  bench_paper_sweep(h, reg);
   bench_tune(h, reg);
   bench_train(h, reg, quick);
   bench_train_health(h, reg, quick);

@@ -7,16 +7,22 @@
 //
 //   cluster_planner [model 1.3B|3B|7B|13B] [seq] [cluster H20|A800] [--tune]
 //
+// Bad input (an unknown model or cluster, a seq that is not a whole
+// positive number of tokens) prints the usage with the valid names and
+// exits 2.
+//
 // With --tune, after the hand-built grid the planner runs the schedule
 // autotuner (tune::tune, DESIGN §15) once per pipeline size, seeded from
 // every applicable family and capped at the cluster's GPU memory. All tuner
 // scoring goes through the same sim::Sweep instance as the grid, so the
 // baseline evaluations are cache hits inside the search.
+#include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -37,6 +43,31 @@ bool is_helix(const std::string& family) {
   return family.rfind("helix", 0) == 0;
 }
 
+/// Largest accepted seq: the attention FLOP counts (~s^2 h) stay inside
+/// int64 for every model.
+constexpr i64 kMaxSeq = i64{1} << 23;
+
+int usage_error(const std::string& why) {
+  std::fprintf(stderr,
+               "cluster_planner: %s\n"
+               "usage: cluster_planner [model] [seq] [cluster] [--tune]\n"
+               "  model    1.3B | 3B | 7B | 13B (default 7B)\n"
+               "  seq      tokens per sequence, a whole number in [1, %lld] "
+               "(default 131072)\n"
+               "  cluster  H20 | A800 (default H20)\n",
+               why.c_str(), static_cast<long long>(kMaxSeq));
+  return 2;
+}
+
+/// `text` as a whole number in [1, kMaxSeq], or nullopt.
+std::optional<i64> parse_seq(const std::string& text) {
+  i64 v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end || v < 1 || v > kMaxSeq) return std::nullopt;
+  return v;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -49,11 +80,19 @@ int main(int argc, char** argv) {
       pos.push_back(argv[i]);
     }
   }
-  const model::ModelConfig mc =
-      model::model_by_name(pos.size() > 0 ? pos[0] : "7B");
-  const i64 seq = pos.size() > 1 ? std::atoll(pos[1]) : 131072;
-  const model::ClusterSpec cluster =
-      model::cluster_by_name(pos.size() > 2 ? pos[2] : "H20");
+  if (pos.size() > 3) return usage_error("too many arguments");
+  model::ModelConfig mc;
+  model::ClusterSpec cluster;
+  try {
+    mc = model::model_by_name(pos.size() > 0 ? pos[0] : "7B");
+    cluster = model::cluster_by_name(pos.size() > 2 ? pos[2] : "H20");
+  } catch (const std::invalid_argument& e) {
+    return usage_error(e.what());
+  }
+  const std::string seq_text = pos.size() > 1 ? pos[1] : "131072";
+  const std::optional<i64> parsed_seq = parse_seq(seq_text);
+  if (!parsed_seq) return usage_error("bad seq '" + seq_text + "'");
+  const i64 seq = *parsed_seq;
 
   std::printf("Planning %s model at %lldk tokens on the %s cluster\n\n",
               mc.name.c_str(), static_cast<long long>(seq / 1024),

@@ -34,6 +34,7 @@ CompiledSchedule CompiledSchedule::build(const Schedule& sched) {
   cs.layer.resize(n);
   cs.tag.resize(n);
   cs.comm_elems.resize(n);
+  cs.combines_w.resize(n);
   cs.mem_acquire.resize(n);
   cs.mem_release.resize(n);
   std::int32_t max_tag = -1;
@@ -45,6 +46,7 @@ CompiledSchedule CompiledSchedule::build(const Schedule& sched) {
     cs.layer[i] = op.layer;
     cs.tag[i] = op.tag;
     cs.comm_elems[i] = op.comm_elems;
+    cs.combines_w[i] = op.combines_w ? 1 : 0;
     cs.mem_acquire[i] = op.alloc_bytes + op.transient_bytes;
     cs.mem_release[i] = op.free_bytes + op.transient_bytes;
     if (is_comm(op.kind) && op.tag > max_tag) max_tag = op.tag;

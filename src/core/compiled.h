@@ -17,8 +17,8 @@
 // op_index() allocation, a vector-of-vectors successor graph and a
 // std::map tag match on every call. CompiledSchedule pays those costs once:
 //
-//  * SoA op fields (kind/stage/mb/layer/tag/comm_elems/memory deltas)
-//    indexed by dense op id, each one contiguous allocation;
+//  * SoA op fields (kind/stage/mb/layer/tag/comm_elems/combines_w/memory
+//    deltas) indexed by dense op id, each one contiguous allocation;
 //  * CSR-packed dependency and successor edge lists (two flat arrays per
 //    direction instead of n little vectors);
 //  * a dense tag -> Send/Recv table (ScheduleBuilder assigns tags densely
@@ -49,6 +49,7 @@ struct CompiledSchedule {
   std::vector<std::int16_t> layer;
   std::vector<std::int32_t> tag;
   std::vector<std::int64_t> comm_elems;
+  std::vector<std::uint8_t> combines_w;   ///< Op::combines_w (prices the op)
   std::vector<std::int64_t> mem_acquire;  ///< alloc + transient, at op start
   std::vector<std::int64_t> mem_release;  ///< free + transient, at op end
   /// Flat locator: id -> the op inside source->stage_ops (for consumers

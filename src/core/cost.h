@@ -1,43 +1,72 @@
 #pragma once
 
-#include <atomic>
+#include <array>
+#include <cstddef>
 #include <cstdint>
 
 #include "core/ir.h"
 
-// Cost models translate IR ops into wall time. The discrete-event simulator
-// and the greedy online schedule builders (ZB1P) consume this interface; the
-// unit-cost instance reproduces the paper's didactic 1:3:2 examples and the
-// Table 2 closed forms, while model::PaperCostModel (src/model/paper_cost.h)
-// prices ops with the hardware timing model.
+// Cost models translate IR ops into wall time. A cost model is its prices:
+// one duration per (OpKind, combines_w) pair, fixed for a model instance,
+// plus a transfer line latency + elems × per_elem / rate. Subclasses only
+// fill those prices, once, at construction, through the shared fill loop;
+// pricing an op is then an array load. The simulator, the greedy online
+// schedule builders (ZB1P) and the reorder pass read them, and the sweep
+// memo keys on their bits (sim::memo_key), so two instances with equal
+// prices are interchangeable. The unit-cost instance reproduces the paper's
+// didactic 1:3:2 examples and the Table 2 closed forms, while
+// model::PaperCostModel (src/model/paper_cost.h) fills its prices from the
+// hardware timing model.
 namespace helix::core {
 
 class CostModel {
  public:
-  CostModel() : uid_(next_uid()) {}
-  /// Copies are distinct instances: each gets a fresh uid so caches keyed on
-  /// identity never conflate a copy with its source.
-  CostModel(const CostModel&) : uid_(next_uid()) {}
-  /// Assignment changes a model's *parameters*, not its identity; the
-  /// behavioural fingerprint (sim::memo_key probes) catches the change.
-  CostModel& operator=(const CostModel&) { return *this; }
-  virtual ~CostModel() = default;
+  static constexpr std::size_t kNumKinds =
+      static_cast<std::size_t>(OpKind::kOptimStep) + 1;
+
+  struct Prices {
+    /// compute[kind][combines_w]: wall time of a compute op on its stage.
+    std::array<std::array<double, 2>, kNumKinds> compute{};
+    double latency = 0;   ///< transfer line: latency + elems × per_elem / rate
+    double per_elem = 0;
+    double rate = 1;
+  };
+  // No padding, so the raw bytes of Prices are exactly the price bits.
+  static_assert(sizeof(Prices) == (2 * kNumKinds + 3) * sizeof(double));
+
   /// Wall time of a compute op on its stage.
-  virtual double compute_seconds(const Op& op) const = 0;
+  double compute_seconds(OpKind kind, bool combines_w) const noexcept {
+    return prices_.compute[static_cast<std::size_t>(kind)][combines_w ? 1 : 0];
+  }
+  double compute_seconds(const Op& op) const noexcept {
+    return compute_seconds(op.kind, op.combines_w);
+  }
   /// Wall time of moving `elems` activation elements between two stages.
-  virtual double transfer_seconds(std::int64_t elems) const = 0;
-  /// Process-unique instance id, assigned at construction. Memo caches key
-  /// on this instead of the object's address: a model destroyed and rebuilt
-  /// at the same address gets a new uid, so stale cache hits are impossible
-  /// (addresses are recycled by the allocator; uids never are).
-  std::uint64_t uid() const { return uid_; }
+  double transfer_seconds(std::int64_t elems) const noexcept {
+    return prices_.latency +
+           static_cast<double>(elems) * prices_.per_elem / prices_.rate;
+  }
+  const Prices& prices() const noexcept { return prices_; }
+
+ protected:
+  CostModel() = default;
+
+  /// Price every (kind, combines_w) pair with `price(kind, combines_w)` and
+  /// set the transfer line.
+  template <typename Price>
+  void fill(Price&& price, double latency, double per_elem, double rate) {
+    for (std::size_t k = 0; k < kNumKinds; ++k) {
+      for (const bool w : {false, true}) {
+        prices_.compute[k][w ? 1 : 0] = price(static_cast<OpKind>(k), w);
+      }
+    }
+    prices_.latency = latency;
+    prices_.per_elem = per_elem;
+    prices_.rate = rate;
+  }
 
  private:
-  static std::uint64_t next_uid() {
-    static std::atomic<std::uint64_t> counter{0};
-    return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-  }
-  std::uint64_t uid_;
+  Prices prices_;
 };
 
 /// Abstract unit costs in the paper's running example: forward durations
@@ -58,48 +87,43 @@ class UnitCostModel final : public CostModel {
     double transfer_latency = 0.0;
   };
 
-  UnitCostModel() = default;
-  explicit UnitCostModel(Units u) : u_(u) {}
-
-  double compute_seconds(const Op& op) const override {
-    switch (op.kind) {
-      case OpKind::kEmbedFwd:
-      case OpKind::kEmbedBwd:
-        return u_.embed;
-      case OpKind::kFwdPre:
-      case OpKind::kRecomputePre:
-      case OpKind::kBwdWPre:
-        return u_.pre;
-      case OpKind::kFwdAttn:
-      case OpKind::kRecomputeAttn:
-        return u_.attn;
-      case OpKind::kFwdPost:
-      case OpKind::kRecomputePost:
-      case OpKind::kBwdWPost:
-        return u_.post;
-      case OpKind::kBwdAttn:
-        return 2.0 * u_.attn;
-      case OpKind::kBwdPre:
-        return op.combines_w ? 2.0 * u_.pre : u_.pre;
-      case OpKind::kBwdPost:
-        return op.combines_w ? 2.0 * u_.post : u_.post;
-      case OpKind::kLmHeadLoss:
-        return u_.lm_head;
-      case OpKind::kOptimStep:
-        return u_.optim;
-      case OpKind::kSend:
-      case OpKind::kRecv:
-        return 0.0;
-    }
-    return 0.0;
+  UnitCostModel() : UnitCostModel(Units{}) {}
+  explicit UnitCostModel(const Units& u) {
+    fill(
+        [&u](OpKind kind, bool combines_w) {
+          switch (kind) {
+            case OpKind::kEmbedFwd:
+            case OpKind::kEmbedBwd:
+              return u.embed;
+            case OpKind::kFwdPre:
+            case OpKind::kRecomputePre:
+            case OpKind::kBwdWPre:
+              return u.pre;
+            case OpKind::kFwdAttn:
+            case OpKind::kRecomputeAttn:
+              return u.attn;
+            case OpKind::kFwdPost:
+            case OpKind::kRecomputePost:
+            case OpKind::kBwdWPost:
+              return u.post;
+            case OpKind::kBwdAttn:
+              return 2.0 * u.attn;
+            case OpKind::kBwdPre:
+              return combines_w ? 2.0 * u.pre : u.pre;
+            case OpKind::kBwdPost:
+              return combines_w ? 2.0 * u.post : u.post;
+            case OpKind::kLmHeadLoss:
+              return u.lm_head;
+            case OpKind::kOptimStep:
+              return u.optim;
+            case OpKind::kSend:
+            case OpKind::kRecv:
+              return 0.0;
+          }
+          return 0.0;
+        },
+        u.transfer_latency, u.seconds_per_elem, 1.0);
   }
-
-  double transfer_seconds(std::int64_t elems) const override {
-    return u_.transfer_latency + static_cast<double>(elems) * u_.seconds_per_elem;
-  }
-
- private:
-  Units u_;
 };
 
 }  // namespace helix::core

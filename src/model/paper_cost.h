@@ -5,31 +5,17 @@
 #include "model/timing.h"
 
 // Prices schedule-IR ops with the hardware timing model: the glue between
-// the analytical layer in src/model and the schedule/simulation layer.
+// the analytical layer in src/model and the schedule/simulation layer. Every
+// price is a TimingModel evaluation made once, at construction.
 namespace helix::model {
 
 class PaperCostModel final : public core::CostModel {
  public:
-  PaperCostModel(TimingModel timing, ModelConfig model, LayerDims dims,
-                 int pipeline_size = 1,
-                 QkvPlacement qkv = QkvPlacement::kInAttention)
-      : timing_(std::move(timing)), model_(std::move(model)), dims_(dims),
-        pipeline_size_(pipeline_size), qkv_(qkv) {}
-
-  const TimingModel& timing() const noexcept { return timing_; }
-  const LayerDims& dims() const noexcept { return dims_; }
-
-  double compute_seconds(const core::Op& op) const override;
-  double transfer_seconds(std::int64_t elems) const override {
-    return timing_.p2p_time(elems);
-  }
-
- private:
-  TimingModel timing_;
-  ModelConfig model_;
-  LayerDims dims_;
-  int pipeline_size_ = 1;
-  QkvPlacement qkv_;
+  /// Throws std::invalid_argument when `pipeline_size` < 1: the optimizer
+  /// step prices one stage's share of the layer parameters.
+  PaperCostModel(const TimingModel& timing, const ModelConfig& model,
+                 const LayerDims& dims, int pipeline_size = 1,
+                 QkvPlacement qkv = QkvPlacement::kInAttention);
 };
 
 }  // namespace helix::model

@@ -2,21 +2,7 @@
 
 namespace helix::schedules {
 
-using core::Op;
 using core::OpKind;
-
-namespace {
-double op_seconds(const core::CostModel& cost, OpKind kind, int stage,
-                  bool combines_w = true) {
-  Op op;
-  op.kind = kind;
-  op.stage = static_cast<std::int16_t>(stage);
-  op.mb = 0;
-  op.layer = 0;
-  op.combines_w = combines_w;
-  return cost.compute_seconds(op);
-}
-}  // namespace
 
 double macro_step_seconds(const core::PipelineProblem& /*problem*/,
                           const core::CostModel& cost, StepKind kind,
@@ -24,26 +10,26 @@ double macro_step_seconds(const core::PipelineProblem& /*problem*/,
   double t = 0;
   switch (kind) {
     case StepKind::kForward:
-      if (q.first_stage) t += op_seconds(cost, OpKind::kEmbedFwd, q.stage);
-      t += q.num_layers * (op_seconds(cost, OpKind::kFwdPre, q.stage) +
-                           op_seconds(cost, OpKind::kFwdAttn, q.stage) +
-                           op_seconds(cost, OpKind::kFwdPost, q.stage));
+      if (q.first_stage) t += cost.compute_seconds(OpKind::kEmbedFwd, true);
+      t += q.num_layers * (cost.compute_seconds(OpKind::kFwdPre, true) +
+                           cost.compute_seconds(OpKind::kFwdAttn, true) +
+                           cost.compute_seconds(OpKind::kFwdPost, true));
       break;
     case StepKind::kBackward:
-      if (q.last_stage) t += op_seconds(cost, OpKind::kLmHeadLoss, q.stage);
+      if (q.last_stage) t += cost.compute_seconds(OpKind::kLmHeadLoss, true);
       t += q.recompute_layers *
-           (op_seconds(cost, OpKind::kRecomputePre, q.stage) +
-            op_seconds(cost, OpKind::kRecomputeAttn, q.stage) +
-            op_seconds(cost, OpKind::kRecomputePost, q.stage));
+           (cost.compute_seconds(OpKind::kRecomputePre, true) +
+            cost.compute_seconds(OpKind::kRecomputeAttn, true) +
+            cost.compute_seconds(OpKind::kRecomputePost, true));
       t += q.num_layers *
-           (op_seconds(cost, OpKind::kBwdPost, q.stage, !q.decouple_w) +
-            op_seconds(cost, OpKind::kBwdAttn, q.stage) +
-            op_seconds(cost, OpKind::kBwdPre, q.stage, !q.decouple_w));
-      if (q.first_stage) t += op_seconds(cost, OpKind::kEmbedBwd, q.stage);
+           (cost.compute_seconds(OpKind::kBwdPost, !q.decouple_w) +
+            cost.compute_seconds(OpKind::kBwdAttn, true) +
+            cost.compute_seconds(OpKind::kBwdPre, !q.decouple_w));
+      if (q.first_stage) t += cost.compute_seconds(OpKind::kEmbedBwd, true);
       break;
     case StepKind::kBackwardW:
-      t += q.num_layers * (op_seconds(cost, OpKind::kBwdWPost, q.stage) +
-                           op_seconds(cost, OpKind::kBwdWPre, q.stage));
+      t += q.num_layers * (cost.compute_seconds(OpKind::kBwdWPost, true) +
+                           cost.compute_seconds(OpKind::kBwdWPre, true));
       break;
   }
   return t;

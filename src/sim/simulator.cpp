@@ -1,61 +1,15 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
-#include <array>
 
 #include "obs/prof.h"
 
 namespace helix::sim {
 
 using core::CompiledSchedule;
-using core::Op;
 using core::OpId;
 using core::OpKind;
 using core::Schedule;
-
-namespace {
-
-// llst-style installed dispatch tables, indexed by OpKind: the relaxation
-// classifies an op and prices it with two array loads instead of a branchy
-// switch. kStream routes the op's accumulation (compute busy / transfer
-// occupancy / recv wait); kCost maps the op to its duration under the cost
-// model (a Recv has zero intrinsic cost — it ends at data arrival).
-enum class Stream : std::uint8_t { kCompute = 0, kSend, kRecv };
-
-using CostFn = double (*)(const core::CostModel&, const Op&);
-
-constexpr std::size_t kNumKinds =
-    static_cast<std::size_t>(OpKind::kOptimStep) + 1;
-
-double compute_seconds(const core::CostModel& cost, const Op& op) {
-  return cost.compute_seconds(op);
-}
-double transfer_seconds(const core::CostModel& cost, const Op& op) {
-  return cost.transfer_seconds(op.comm_elems);
-}
-double zero_seconds(const core::CostModel&, const Op&) { return 0.0; }
-
-struct Tables {
-  std::array<Stream, kNumKinds> stream{};
-  std::array<CostFn, kNumKinds> cost{};
-};
-
-Tables install_tables() {
-  Tables t;
-  for (std::size_t k = 0; k < kNumKinds; ++k) {
-    t.stream[k] = Stream::kCompute;
-    t.cost[k] = &compute_seconds;
-  }
-  t.stream[static_cast<std::size_t>(OpKind::kSend)] = Stream::kSend;
-  t.cost[static_cast<std::size_t>(OpKind::kSend)] = &transfer_seconds;
-  t.stream[static_cast<std::size_t>(OpKind::kRecv)] = Stream::kRecv;
-  t.cost[static_cast<std::size_t>(OpKind::kRecv)] = &zero_seconds;
-  return t;
-}
-
-const Tables kTables = install_tables();
-
-}  // namespace
 
 const SimResult& Simulator::run(
     const CompiledSchedule& cs, SimWorkspace& ws,
@@ -102,24 +56,22 @@ const SimResult& Simulator::run(
         start = std::max(start, times[static_cast<std::size_t>(*it)].end);
       }
 
-      const auto k = static_cast<std::size_t>(cs.kind[ui]);
+      // Price from the SoA fields: a Send occupies its comm stream for the
+      // transfer, a Recv ends at data arrival (zero intrinsic cost), and a
+      // compute op costs its (kind, combines_w) price.
+      const OpKind kind = cs.kind[ui];
       double end;
       auto& st = res.stages[static_cast<std::size_t>(cs.stage[ui])];
-      switch (kTables.stream[k]) {
-        case Stream::kSend:
-          end = start + kTables.cost[k](cost_, cs.op(id));
-          st.comm_busy += end - start;
-          break;
-        case Stream::kRecv:
-          end = std::max(
-              start,
-              times[static_cast<std::size_t>(cs.matching_send[ui])].end);
-          st.recv_wait += end - start;
-          break;
-        default:
-          end = start + kTables.cost[k](cost_, cs.op(id));
-          st.compute_busy += end - start;
-          break;
+      if (kind == OpKind::kSend) {
+        end = start + cost_.transfer_seconds(cs.comm_elems[ui]);
+        st.comm_busy += end - start;
+      } else if (kind == OpKind::kRecv) {
+        end = std::max(start,
+                       times[static_cast<std::size_t>(cs.matching_send[ui])].end);
+        st.recv_wait += end - start;
+      } else {
+        end = start + cost_.compute_seconds(kind, cs.combines_w[ui] != 0);
+        st.compute_busy += end - start;
       }
       times[ui] = {start, end};
       makespan = std::max(makespan, end);

@@ -1,6 +1,5 @@
 #include "sim/sweep.h"
 
-#include <cstring>
 #include <exception>
 
 #include "core/compiled.h"
@@ -14,7 +13,6 @@ namespace helix::sim {
 
 using core::CostModel;
 using core::Op;
-using core::OpKind;
 
 namespace {
 
@@ -22,33 +20,15 @@ void append_raw(std::string& out, const void* p, std::size_t n) {
   out.append(static_cast<const char*>(p), n);
 }
 void append_i64(std::string& out, std::int64_t v) { append_raw(out, &v, sizeof(v)); }
-void append_f64(std::string& out, double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  append_raw(out, &bits, sizeof(bits));
-}
 
-/// Canonical probe evaluations pinning the cost model's behaviour: every
-/// compute kind at two (layer, combines_w) points plus two transfer sizes.
-/// Models whose costs depend on fields beyond these (none of the repo's do)
-/// would need their configuration in the key; the probe still catches any
-/// in-place mutation of an already-cached model.
-void append_cost_fingerprint(std::string& out, const CostModel& cost) {
-  Op op;
-  op.comm_elems = 1;
-  for (std::size_t k = 0; k <= static_cast<std::size_t>(OpKind::kOptimStep); ++k) {
-    const OpKind kind = static_cast<OpKind>(k);
-    if (core::is_comm(kind)) continue;
-    op.kind = kind;
-    op.layer = 0;
-    op.combines_w = true;
-    append_f64(out, cost.compute_seconds(op));
-    op.layer = 1;
-    op.combines_w = false;
-    append_f64(out, cost.compute_seconds(op));
-  }
-  append_f64(out, cost.transfer_seconds(1));
-  append_f64(out, cost.transfer_seconds(1 << 20));
+/// Bytes append_prices adds.
+constexpr std::size_t kPriceKeyBytes = 1 + sizeof(CostModel::Prices);
+
+/// The cost model's price bits. A model is its prices, so two instances
+/// with equal bits share entries and a changed price is a miss.
+void append_prices(std::string& out, const CostModel* cost) {
+  out.push_back(cost == nullptr ? '\0' : '\1');
+  if (cost != nullptr) append_raw(out, &cost->prices(), sizeof(CostModel::Prices));
 }
 
 /// Compile + simulate one already-built schedule; shared tail of both
@@ -136,8 +116,11 @@ struct Hash128 {
 }  // namespace
 
 std::string memo_key(const SweepItem& item) {
+  constexpr std::size_t kProblemFields = 18;  // the pr.* fields appended below
   std::string key;
-  key.reserve(256);
+  // Sized exactly, so the keys the cache keeps carry no spare capacity.
+  key.reserve(item.family.size() + 1 +
+              8 * (kProblemFields + 1 + item.base_memory.size()) + kPriceKeyBytes);
   key += item.family;
   key.push_back('\0');
   const core::PipelineProblem& pr = item.problem;
@@ -161,19 +144,14 @@ std::string memo_key(const SweepItem& item) {
   append_i64(key, pr.head_stash_bytes);
   append_i64(key, static_cast<std::int64_t>(item.base_memory.size()));
   for (const std::int64_t b : item.base_memory) append_i64(key, b);
-  // Identity by per-instance uid, never by address: a model destroyed and
-  // rebuilt at the same address with different parameters but matching probe
-  // points would otherwise hit the stale entry.
-  append_i64(key, item.cost == nullptr
-                      ? -1
-                      : static_cast<std::int64_t>(item.cost->uid()));
-  if (item.cost != nullptr) append_cost_fingerprint(key, *item.cost);
+  append_prices(key, item.cost);
   return key;
 }
 
 std::string memo_key(const ScheduleItem& item) {
   std::string key;
-  key.reserve(64);
+  key.reserve(sizeof("<schedule>") + 8 * (3 + item.base_memory.size()) +
+              kPriceKeyBytes);
   key += "<schedule>";
   key.push_back('\0');
   Hash128 h;
@@ -207,10 +185,7 @@ std::string memo_key(const ScheduleItem& item) {
   append_i64(key, static_cast<std::int64_t>(h.b));
   append_i64(key, static_cast<std::int64_t>(item.base_memory.size()));
   for (const std::int64_t b : item.base_memory) append_i64(key, b);
-  append_i64(key, item.cost == nullptr
-                      ? -1
-                      : static_cast<std::int64_t>(item.cost->uid()));
-  if (item.cost != nullptr) append_cost_fingerprint(key, *item.cost);
+  append_prices(key, item.cost);
   return key;
 }
 

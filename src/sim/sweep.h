@@ -22,9 +22,10 @@
 // serial — and for warm vs cold cache.
 namespace helix::sim {
 
-/// One configuration to evaluate. `cost` is borrowed and must stay alive
-/// (and unmodified) for the lifetime of any Sweep caching results derived
-/// from it.
+/// One configuration to evaluate. `cost` is borrowed for the duration of
+/// the run() call only: the memo keys on a copy of its price bits, never on
+/// its address, so the model may be destroyed, rebuilt or changed between
+/// calls without a stale hit.
 struct SweepItem {
   std::string family;  ///< schedules::family_registry key ("zb2p", ...)
   core::PipelineProblem problem;
@@ -35,7 +36,8 @@ struct SweepItem {
 /// One ad-hoc schedule to evaluate (the autotuner's scoring path): the
 /// schedule is already built — compile + simulate only. `schedule` and
 /// `cost` are borrowed and must outlive the call; the memo cache keys on
-/// a content hash of the schedule, so mutated copies never collide.
+/// a content hash of the schedule and the cost model's price bits, so
+/// mutated copies never collide.
 struct ScheduleItem {
   const core::Schedule* schedule = nullptr;
   const core::CostModel* cost = nullptr;
@@ -102,17 +104,15 @@ class Sweep {
 };
 
 /// The memo key: the family name, every PipelineProblem field, the per-stage
-/// base memory, and the cost model's identity — its per-instance uid
-/// (core::CostModel::uid; never the raw address, which the allocator can
-/// recycle for a different model) plus a behavioural fingerprint (canonical
-/// probe evaluations of compute_seconds / transfer_seconds, so mutating a
-/// model in place invalidates its entries). Exposed for the determinism and
-/// cache-staleness tests.
+/// base memory, and the cost model's price bits (core::CostModel::Prices).
+/// A model is its prices, so two distinct instances with equal prices share
+/// entries, and a model rebuilt at a recycled address with any changed
+/// price misses. Exposed for the determinism and cache-staleness tests.
 std::string memo_key(const SweepItem& item);
 
 /// Memo key for an ad-hoc schedule: a content hash of the full schedule
-/// (every op field and dependency, in program order) plus the cost-model
-/// identity and base memory. Two structurally identical schedules share a
+/// (every op field and dependency, in program order) plus the cost model's
+/// price bits and base memory. Two structurally identical schedules share a
 /// key; any mutation — reordering included — changes it.
 std::string memo_key(const ScheduleItem& item);
 

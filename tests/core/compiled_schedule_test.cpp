@@ -65,6 +65,7 @@ TEST(CompiledSchedule, SoaFieldsMirrorSourceOpsAcrossFamilies) {
         EXPECT_EQ(cs.layer[i], op.layer);
         EXPECT_EQ(cs.tag[i], op.tag);
         EXPECT_EQ(cs.comm_elems[i], op.comm_elems);
+        EXPECT_EQ(cs.combines_w[i] != 0, op.combines_w);
         EXPECT_EQ(cs.mem_acquire[i], op.alloc_bytes + op.transient_bytes);
         EXPECT_EQ(cs.mem_release[i], op.free_bytes + op.transient_bytes);
         EXPECT_EQ(&cs.op(op.id), &op);  // locator points into the source

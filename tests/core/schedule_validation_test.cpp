@@ -40,6 +40,13 @@ struct Case {
   int p, m, L;
 };
 
+// Without a printer gtest dumps Case's raw bytes, including the heap pointer
+// inside `name`, into the test names ctest discovers; print the shape so
+// those names are the same on every build.
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << "p=" << c.p << ",m=" << c.m << ",L=" << c.L;
+}
+
 class AllGenerators : public ::testing::TestWithParam<Case> {};
 
 std::vector<core::Schedule> build_all(const core::PipelineProblem& pr) {

@@ -54,6 +54,26 @@ std::vector<sim::SweepItem> full_grid(const core::CostModel& cost) {
   return items;
 }
 
+/// `base` with one price changed: compute slot `slot` (2 * kind +
+/// combines_w) or, past the compute slots, one transfer term (latency,
+/// per_elem, rate).
+class OnePriceChanged final : public core::CostModel {
+ public:
+  static constexpr std::size_t kSlots = 2 * kNumKinds + 3;
+
+  OnePriceChanged(const core::CostModel& base, std::size_t slot) {
+    const Prices& p = base.prices();
+    const auto bump = [slot](std::size_t at, double v) { return at == slot ? v + 0.5 : v; };
+    fill(
+        [&](core::OpKind kind, bool combines_w) {
+          const auto k = static_cast<std::size_t>(kind);
+          return bump(2 * k + (combines_w ? 1 : 0), p.compute[k][combines_w ? 1 : 0]);
+        },
+        bump(2 * kNumKinds, p.latency), bump(2 * kNumKinds + 1, p.per_elem),
+        bump(2 * kNumKinds + 2, p.rate));
+  }
+};
+
 void expect_bit_identical(const std::vector<sim::SweepOutcome>& a,
                           const std::vector<sim::SweepOutcome>& b) {
   ASSERT_EQ(a.size(), b.size());
@@ -186,8 +206,8 @@ TEST(Sweep, RebuiltCostModelAtTheSameAddressIsACacheMiss) {
   // Regression: the memo key used to include the cost model's *address*, so
   // destroying a model and constructing a different one at the same location
   // — exactly what std::optional::emplace or vector reuse does — produced a
-  // stale cache hit with the old model's numbers. The key now carries a
-  // per-instance uid, so the rebuilt model must miss and re-evaluate.
+  // stale cache hit with the old model's numbers. The key now carries the
+  // model's price bits, so the rebuilt model must miss and re-evaluate.
   std::optional<core::UnitCostModel> model;
   core::UnitCostModel::Units u;
   u.seconds_per_elem = 0.1;
@@ -280,4 +300,40 @@ TEST(Sweep, MemoKeySeparatesConfigsAndCostModels) {
   sim::SweepItem other_base_memory = base;
   other_base_memory.base_memory = {1, 2};
   EXPECT_NE(sim::memo_key(base), sim::memo_key(other_base_memory));
+}
+
+TEST(Sweep, DistinctModelsWithEqualPricesShareOneEntry) {
+  const core::UnitCostModel a = unit_cost();
+  const core::UnitCostModel b = unit_cost();
+  ASSERT_NE(&a, &b);
+  const core::PipelineProblem pr = grid_problem(2);
+  const sim::SweepItem item_a{"1f1b", pr, &a, {}};
+  const sim::SweepItem item_b{"1f1b", pr, &b, {}};
+  EXPECT_EQ(sim::memo_key(item_a), sim::memo_key(item_b));
+
+  sim::Sweep sweep;
+  const auto first = sweep.run({item_a});
+  const auto second = sweep.run({item_b});
+  expect_bit_identical(first, second);
+  EXPECT_EQ(sweep.stats().evaluated, 1);
+  EXPECT_EQ(sweep.stats().cache_hits, 1);
+}
+
+TEST(Sweep, ChangingAnySinglePriceIsACacheMiss) {
+  const core::UnitCostModel base = unit_cost();
+  const core::PipelineProblem pr = grid_problem(2);
+  const sim::SweepItem base_item{"1f1b", pr, &base, {}};
+  const std::string base_key = sim::memo_key(base_item);
+  sim::Sweep sweep;
+  sweep.run({base_item});
+  for (std::size_t slot = 0; slot < OnePriceChanged::kSlots; ++slot) {
+    SCOPED_TRACE(slot);
+    const OnePriceChanged changed(base, slot);
+    const sim::SweepItem item{"1f1b", pr, &changed, {}};
+    EXPECT_NE(sim::memo_key(item), base_key);
+    sweep.run({item});
+  }
+  EXPECT_EQ(sweep.stats().cache_hits, 0);
+  EXPECT_EQ(sweep.stats().evaluated,
+            1 + static_cast<std::int64_t>(OnePriceChanged::kSlots));
 }
