@@ -1,5 +1,6 @@
 #include "core/compiled.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -9,6 +10,20 @@ namespace helix::core {
 
 CompiledSchedule CompiledSchedule::build(const Schedule& sched) {
   HELIX_PROF_SCOPE("core.compile");
+  if (sched.num_micro_batches < 0 || sched.num_micro_batches > kMaxShape ||
+      sched.num_layers < 0 || sched.num_layers > kMaxShape) {
+    throw std::logic_error(
+        "num_micro_batches " + std::to_string(sched.num_micro_batches) +
+        " or num_layers " + std::to_string(sched.num_layers) + " outside [0, " +
+        std::to_string(kMaxShape) + "]");
+  }
+  if (sched.num_stages < 0 ||
+      sched.stage_ops.size() != static_cast<std::size_t>(sched.num_stages)) {
+    throw std::logic_error("num_stages is " + std::to_string(sched.num_stages) +
+                           " but the schedule holds " +
+                           std::to_string(sched.stage_ops.size()) +
+                           " stage programs");
+  }
   CompiledSchedule cs;
   cs.source = &sched;
   cs.num_stages = sched.num_stages;
@@ -17,11 +32,17 @@ CompiledSchedule CompiledSchedule::build(const Schedule& sched) {
 
   const std::size_t n = sched.total_ops();
   cs.ops.assign(n, nullptr);
-  for (const auto& stage : sched.stage_ops) {
-    for (const Op& op : stage) {
+  for (std::size_t s = 0; s < sched.stage_ops.size(); ++s) {
+    for (const Op& op : sched.stage_ops[s]) {
       if (op.id < 0 || static_cast<std::size_t>(op.id) >= n ||
           cs.ops[static_cast<std::size_t>(op.id)] != nullptr) {
-        throw std::logic_error("non-dense op ids");
+        throw std::logic_error("non-dense op ids: " + describe(op) +
+                               " repeats an id or lies outside [0, " +
+                               std::to_string(n) + ")");
+      }
+      if (op.stage != static_cast<int>(s)) {
+        throw std::logic_error(describe(op) + " sits in stage " +
+                               std::to_string(s) + "'s program");
       }
       cs.ops[static_cast<std::size_t>(op.id)] = &op;
     }
@@ -49,7 +70,13 @@ CompiledSchedule CompiledSchedule::build(const Schedule& sched) {
     cs.combines_w[i] = op.combines_w ? 1 : 0;
     cs.mem_acquire[i] = op.alloc_bytes + op.transient_bytes;
     cs.mem_release[i] = op.free_bytes + op.transient_bytes;
-    if (is_comm(op.kind) && op.tag > max_tag) max_tag = op.tag;
+    if (is_comm(op.kind)) {
+      if (op.tag < 0 || static_cast<std::size_t>(op.tag) >= n) {
+        throw std::logic_error(describe(op) + ": tag " + std::to_string(op.tag) +
+                               " outside [0, " + std::to_string(n) + ")");
+      }
+      max_tag = std::max(max_tag, op.tag);
+    }
   }
 
   // Incoming explicit dependencies, CSR-packed in id order.
@@ -57,7 +84,8 @@ CompiledSchedule CompiledSchedule::build(const Schedule& sched) {
   for (std::size_t i = 0; i < n; ++i) {
     for (const OpId d : cs.ops[i]->deps) {
       if (d < 0 || static_cast<std::size_t>(d) >= n) {
-        throw std::logic_error("dependency on unknown op");
+        throw std::logic_error(describe(*cs.ops[i]) +
+                               " depends on unknown op id " + std::to_string(d));
       }
     }
     cs.dep_offset[i + 1] =
@@ -70,26 +98,32 @@ CompiledSchedule CompiledSchedule::build(const Schedule& sched) {
   }
 
   // Dense tag tables. ScheduleBuilder assigns tags densely from 0, so the
-  // tables are ~one slot per transfer; sizing by max_tag also tolerates
-  // hand-built sparse tags (the match is still O(1)).
+  // tables are ~one slot per transfer; sizing by max_tag (< n, checked
+  // above) also tolerates hand-built sparse tags.
   cs.send_of_tag.assign(static_cast<std::size_t>(max_tag + 1), kNoOp);
   cs.recv_of_tag.assign(static_cast<std::size_t>(max_tag + 1), kNoOp);
   for (std::size_t i = 0; i < n; ++i) {
-    if (cs.kind[i] == OpKind::kSend) {
-      if (cs.tag[i] < 0) throw std::logic_error("send with negative tag");
-      auto& slot = cs.send_of_tag[static_cast<std::size_t>(cs.tag[i])];
-      if (slot != kNoOp) throw std::logic_error("duplicate send tag");
-      slot = static_cast<OpId>(i);
+    if (!is_comm(cs.kind[i])) continue;
+    auto& table = cs.kind[i] == OpKind::kSend ? cs.send_of_tag : cs.recv_of_tag;
+    OpId& slot = table[static_cast<std::size_t>(cs.tag[i])];
+    if (slot != kNoOp) {
+      throw std::logic_error(describe(cs.op(slot)) + " and " +
+                             describe(*cs.ops[i]) + " share tag " +
+                             std::to_string(cs.tag[i]));
     }
+    slot = static_cast<OpId>(i);
   }
   cs.matching_send.assign(n, kNoOp);
   for (std::size_t i = 0; i < n; ++i) {
-    if (cs.kind[i] != OpKind::kRecv) continue;
-    const std::int32_t t = cs.tag[i];
-    const OpId send = t < 0 ? kNoOp : cs.send_of_tag[static_cast<std::size_t>(t)];
-    if (send == kNoOp) throw std::logic_error("recv without send");
-    cs.matching_send[i] = send;
-    cs.recv_of_tag[static_cast<std::size_t>(t)] = static_cast<OpId>(i);
+    if (!is_comm(cs.kind[i])) continue;
+    const auto t = static_cast<std::size_t>(cs.tag[i]);
+    const bool send = cs.kind[i] == OpKind::kSend;
+    if ((send ? cs.recv_of_tag : cs.send_of_tag)[t] == kNoOp) {
+      throw std::logic_error(describe(*cs.ops[i]) + ": no " +
+                             (send ? "Recv" : "Send") + " carries tag " +
+                             std::to_string(t));
+    }
+    if (!send) cs.matching_send[i] = cs.send_of_tag[t];
   }
 
   // Per-stage chains: the full program, the compute-stream subsequence, the
@@ -194,8 +228,13 @@ CompiledSchedule CompiledSchedule::build(const Schedule& sched) {
     }
   }
   if (cs.topo.size() != n) {
+    const auto stuck = static_cast<std::size_t>(
+        std::find_if(preds.begin(), preds.end(),
+                     [](std::uint32_t p) { return p != 0; }) -
+        preds.begin());
     throw std::logic_error("schedule has a dependency cycle (" +
-                           std::to_string(n - cs.topo.size()) + " ops stuck)");
+                           std::to_string(n - cs.topo.size()) +
+                           " ops stuck, e.g. " + describe(*cs.ops[stuck]) + ")");
   }
   HELIX_PROF_COUNT("core.compiled.edges", cs.num_edges);
   return cs;

@@ -8,8 +8,11 @@
 // Compiled schedule: a one-shot lowering of the pointer-rich Schedule IR
 // into flat structure-of-arrays storage, built once and shared by every
 // consumer that previously re-derived it per call (the simulator's
-// relaxation, the critical-path analyzer, the validators' adjacency and the
-// runtime interpreter's program walk).
+// relaxation, the critical-path analyzer, the validators and the runtime
+// interpreter's program walk). It is the only code that turns a Schedule
+// into its dependency + stream + rendezvous graph, and so the only
+// structural gate: build() rejects every schedule the consumers could not
+// index safely (see build() for the list).
 //
 // A Schedule is a per-stage vector<Op> with heap-allocated `deps` vectors
 // and tag-matched Send/Recv pairs; evaluating it repeatedly — the capacity
@@ -126,10 +129,17 @@ struct CompiledSchedule {
     return compute_chain.data() + compute_offset[static_cast<std::size_t>(s) + 1];
   }
 
-  /// Lower `sched` (which must outlive the result). Throws std::logic_error
-  /// on malformed IR: non-dense op ids, dependency on an unknown op,
-  /// duplicate or out-of-dense-range send tags, a recv without a send, or a
-  /// dependency cycle.
+  /// Lower `sched` (which must outlive the result). Throws std::logic_error,
+  /// naming the op, tag or stage, on malformed IR:
+  ///  * num_micro_batches or num_layers outside [0, kMaxShape];
+  ///  * stage_ops.size() != num_stages;
+  ///  * op ids that are not a permutation of [0, num_ops);
+  ///  * an op whose `stage` field is not the index of the program holding it;
+  ///  * a Send or Recv tag outside [0, num_ops);
+  ///  * two Sends, or two Recvs, sharing a tag;
+  ///  * a Send with no Recv, or a Recv with no Send, on its tag;
+  ///  * a dependency on an unknown op id;
+  ///  * a dependency cycle over dependency + stream + rendezvous edges.
   static CompiledSchedule build(const Schedule& sched);
 };
 

@@ -27,6 +27,12 @@ const char* to_string(OpKind k) noexcept {
   return "?";
 }
 
+std::string describe(const Op& op) {
+  return std::string(to_string(op.kind)) + "(id=" + std::to_string(op.id) +
+         ", stage=" + std::to_string(op.stage) + ", mb=" + std::to_string(op.mb) +
+         ", layer=" + std::to_string(op.layer) + ")";
+}
+
 std::vector<const Op*> Schedule::op_index() const {
   std::vector<const Op*> idx(total_ops(), nullptr);
   for (const auto& ops : stage_ops) {
@@ -134,10 +140,7 @@ OpId ScheduleBuilder::add_optim_step(int stage) {
   }
   std::vector<OpId> deps;
   for (const Op& o : sched_.stage_ops[static_cast<std::size_t>(stage)]) {
-    if (is_backward_b(o.kind) || is_backward_w(o.kind) ||
-        o.kind == OpKind::kEmbedBwd || o.kind == OpKind::kLmHeadLoss) {
-      deps.push_back(o.id);
-    }
+    if (produces_grad(o.kind)) deps.push_back(o.id);
   }
   return add(OpKind::kOptimStep, stage, -1, -1, std::move(deps));
 }

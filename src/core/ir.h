@@ -30,6 +30,9 @@ namespace helix::core {
 
 using OpId = std::int32_t;
 inline constexpr OpId kNoOp = -1;
+/// Op::mb and Op::layer are 16-bit, so a schedule addresses at most this
+/// many micro batches and layers.
+inline constexpr int kMaxShape = 1 << 15;
 
 enum class OpKind : std::uint8_t {
   kEmbedFwd,        ///< input word+position embedding (first pipeline layer)
@@ -69,6 +72,11 @@ constexpr bool is_recompute(OpKind k) noexcept {
   return k == OpKind::kRecomputePre || k == OpKind::kRecomputeAttn ||
          k == OpKind::kRecomputePost;
 }
+/// Ops that accumulate a gradient the stage's OptimStep must wait for.
+constexpr bool produces_grad(OpKind k) noexcept {
+  return is_backward_b(k) || is_backward_w(k) || k == OpKind::kEmbedBwd ||
+         k == OpKind::kLmHeadLoss;
+}
 const char* to_string(OpKind k) noexcept;
 
 /// Which logical value a Send/Recv moves; consumed by the numerical runtime
@@ -99,6 +107,9 @@ struct Op {
   bool combines_w = true;  ///< backward-B op also performs backward-W (1F1B style)
   std::vector<OpId> deps;  ///< cross-op dependencies (op ids)
 };
+
+/// "Kind(id=.., stage=.., mb=.., layer=..)": names an op in error messages.
+std::string describe(const Op& op);
 
 struct Schedule {
   std::string name;

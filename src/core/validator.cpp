@@ -1,171 +1,52 @@
 #include "core/validator.h"
 
 #include <algorithm>
-#include <map>
-#include <queue>
-#include <sstream>
+#include <array>
+#include <optional>
+#include <stdexcept>
+
+#include "core/compiled.h"
 
 namespace helix::core {
 
 namespace {
 
-std::string op_desc(const Op& op) {
-  std::ostringstream os;
-  os << to_string(op.kind) << "(id=" << op.id << ", stage=" << op.stage
-     << ", mb=" << op.mb << ", layer=" << op.layer << ")";
-  return os.str();
+constexpr std::size_t kNumKinds = static_cast<std::size_t>(OpKind::kOptimStep) + 1;
+
+bool outside_order(OpKind k) {
+  return is_comm(k) || is_recompute(k) || k == OpKind::kOptimStep;
 }
 
-/// Sorted flat (tag, op) rows with binary-search lookup — the validators'
-/// tag match. Unlike the compiled path's dense tag table
-/// (core::CompiledSchedule::send_of_tag), this tolerates the arbitrary
-/// tags malformed schedules carry: sparse, duplicate or negative.
-struct TagTable {
-  std::vector<std::pair<std::int32_t, const Op*>> rows;
-
-  void add(std::int32_t tag, const Op* op) { rows.emplace_back(tag, op); }
-  /// Sort by tag; insertion order is preserved within a tag (stable), so
-  /// the first-added op wins lookups exactly like map::emplace did.
-  void seal() {
-    std::stable_sort(rows.begin(), rows.end(),
-                     [](const auto& a, const auto& b) { return a.first < b.first; });
+/// Compile `sched`, then add the checks compile does not make. Empty when
+/// compile rejects the schedule.
+std::optional<CompiledSchedule> check_structure(const Schedule& sched,
+                                                ValidationResult& res) {
+  std::optional<CompiledSchedule> cs;
+  try {
+    cs.emplace(CompiledSchedule::build(sched));
+  } catch (const std::logic_error& e) {
+    res.fail(e.what());
+    return cs;
   }
-  const Op* find(std::int32_t tag) const {
-    const auto it = std::lower_bound(
-        rows.begin(), rows.end(), tag,
-        [](const auto& row, std::int32_t t) { return row.first < t; });
-    return it != rows.end() && it->first == tag ? it->second : nullptr;
-  }
-};
-
-/// Adjacency over dependency + stream + tag edges.
-std::vector<std::vector<OpId>> build_adjacency(const Schedule& sched,
-                                               ValidationResult& res) {
-  const auto ops = sched.op_index();
-  std::vector<std::vector<OpId>> adj(ops.size());
-  const auto add_edge = [&](OpId from, OpId to) {
-    adj[static_cast<std::size_t>(from)].push_back(to);
-  };
-  for (const Op* op : ops) {
-    if (op == nullptr) continue;
-    for (OpId d : op->deps) {
-      if (d < 0 || static_cast<std::size_t>(d) >= ops.size() || ops[static_cast<std::size_t>(d)] == nullptr) {
-        res.fail("dependency on unknown op id " + std::to_string(d));
-        continue;
-      }
-      add_edge(d, op->id);
+  for (std::size_t i = 0; i < cs->num_ops(); ++i) {
+    if (cs->kind[i] != OpKind::kSend) continue;
+    const Op& s = *cs->ops[i];
+    const Op& r = cs->op(cs->recv_of_tag[static_cast<std::size_t>(s.tag)]);
+    if (s.comm_elems <= 0) res.fail(describe(s) + ": empty payload");
+    if (s.peer != r.stage || r.peer != s.stage) {
+      res.fail("tag " + std::to_string(s.tag) + ": peer mismatch " +
+               describe(s) + " vs " + describe(r));
+    }
+    if (s.comm_elems != r.comm_elems) {
+      res.fail("tag " + std::to_string(s.tag) + ": payload size mismatch " +
+               describe(s) + " vs " + describe(r));
     }
   }
-  for (const auto& stage : sched.stage_ops) {
-    OpId prev_compute = kNoOp;
-    OpId prev_comm = kNoOp;
-    for (const Op& op : stage) {
-      if (is_comm(op.kind)) {
-        if (prev_comm != kNoOp) add_edge(prev_comm, op.id);
-        prev_comm = op.id;
-      } else {
-        if (prev_compute != kNoOp) add_edge(prev_compute, op.id);
-        prev_compute = op.id;
-      }
-    }
-  }
-  TagTable sends;
-  for (const Op* op : ops) {
-    if (op != nullptr && op->kind == OpKind::kSend) sends.add(op->tag, op);
-  }
-  sends.seal();
-  for (const Op* op : ops) {
-    if (op != nullptr && op->kind == OpKind::kRecv) {
-      if (const Op* s = sends.find(op->tag)) add_edge(s->id, op->id);
-    }
-  }
-  return adj;
-}
-
-bool reachable(const std::vector<std::vector<OpId>>& adj, OpId from, OpId to) {
-  if (from == to) return true;
-  std::vector<bool> seen(adj.size(), false);
-  std::queue<OpId> q;
-  q.push(from);
-  seen[static_cast<std::size_t>(from)] = true;
-  while (!q.empty()) {
-    const OpId u = q.front();
-    q.pop();
-    for (OpId v : adj[static_cast<std::size_t>(u)]) {
-      if (v == to) return true;
-      if (!seen[static_cast<std::size_t>(v)]) {
-        seen[static_cast<std::size_t>(v)] = true;
-        q.push(v);
-      }
-    }
-  }
-  return false;
-}
-
-}  // namespace
-
-ValidationResult validate_structure(const Schedule& sched) {
-  ValidationResult res;
-  const auto ops = sched.op_index();
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    if (ops[i] == nullptr) {
-      res.fail("missing op id " + std::to_string(i));
-      return res;
-    }
-  }
-
-  // Send/Recv pairing, matched through sorted flat tag tables.
-  TagTable sends, recvs;
-  for (const Op* op : ops) {
-    if (op->kind == OpKind::kSend) {
-      sends.add(op->tag, op);
-      if (op->comm_elems <= 0) res.fail(op_desc(*op) + ": empty payload");
-    } else if (op->kind == OpKind::kRecv) {
-      recvs.add(op->tag, op);
-    }
-  }
-  sends.seal();
-  recvs.seal();
-  for (std::size_t i = 1; i < sends.rows.size(); ++i) {
-    if (sends.rows[i].first == sends.rows[i - 1].first) {
-      res.fail("duplicate send tag " + std::to_string(sends.rows[i].first));
-    }
-  }
-  for (std::size_t i = 1; i < recvs.rows.size(); ++i) {
-    if (recvs.rows[i].first == recvs.rows[i - 1].first) {
-      res.fail("duplicate recv tag " + std::to_string(recvs.rows[i].first));
-    }
-  }
-  for (std::size_t i = 0; i < sends.rows.size(); ++i) {
-    const auto& [tag, s] = sends.rows[i];
-    if (i > 0 && tag == sends.rows[i - 1].first) continue;  // reported above
-    const Op* r = recvs.find(tag);
-    if (r == nullptr) {
-      res.fail("send tag " + std::to_string(tag) + " has no recv");
-      continue;
-    }
-    if (s->peer != r->stage || r->peer != s->stage) {
-      res.fail("tag " + std::to_string(tag) + ": peer mismatch " + op_desc(*s) + " vs " + op_desc(*r));
-    }
-    if (s->comm_elems != r->comm_elems) {
-      res.fail("tag " + std::to_string(tag) + ": payload size mismatch");
-    }
-  }
-  for (std::size_t i = 0; i < recvs.rows.size(); ++i) {
-    const auto& [tag, r] = recvs.rows[i];
-    (void)r;
-    if (i > 0 && tag == recvs.rows[i - 1].first) continue;
-    if (sends.find(tag) == nullptr) {
-      res.fail("recv tag " + std::to_string(tag) + " has no send");
-    }
-  }
-
-  // Memory sanity: non-negative deltas, balanced per stage.
   for (int s = 0; s < sched.num_stages; ++s) {
     std::int64_t balance = 0;
     for (const Op& op : sched.stage_ops[static_cast<std::size_t>(s)]) {
       if (op.alloc_bytes < 0 || op.free_bytes < 0 || op.transient_bytes < 0) {
-        res.fail(op_desc(op) + ": negative memory delta");
+        res.fail(describe(op) + ": negative memory delta");
       }
       balance += op.alloc_bytes - op.free_bytes;
     }
@@ -174,145 +55,184 @@ ValidationResult validate_structure(const Schedule& sched) {
                std::to_string(balance) + " bytes leak)");
     }
   }
+  return cs;
+}
 
-  // Acyclicity via Kahn's algorithm on the full edge set.
-  const auto adj = build_adjacency(sched, res);
-  std::vector<int> indeg(ops.size(), 0);
-  for (const auto& out : adj) {
-    for (OpId v : out) ++indeg[static_cast<std::size_t>(v)];
+std::string entry_name(const MicroBatchOrder::Entry& e) {
+  if (e.kind == OpKind::kEmbedBwd && e.anchor >= 0) {
+    return "deferred head backward-W (decoupled EmbedBwd, layer " +
+           std::to_string(e.layer) + ")";
   }
-  std::queue<OpId> q;
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    if (indeg[i] == 0) q.push(static_cast<OpId>(i));
+  return std::string(to_string(e.kind)) + "(layer " + std::to_string(e.layer) + ")";
+}
+
+/// Calls visit(mb, before, after, before_pos) for every per-micro-batch order
+/// edge among `ops`: micro batch by micro batch, the chain edges, then each
+/// follower after its anchor. An op the order does not hold, or of a micro
+/// batch outside [0, m), has no edges; of two ops at one (micro batch,
+/// position), the first in `ops` wins.
+template <typename Visit>
+void for_each_order_edge(const MicroBatchOrder& order, int m,
+                         const std::vector<const Op*>& ops, Visit&& visit) {
+  std::vector<std::pair<std::array<int, 3>, OpId>> placed;  // (mb, pos, seq)
+  for (std::size_t k = 0; k < ops.size(); ++k) {
+    const Op& op = *ops[k];
+    if (outside_order(op.kind) || op.mb < 0 || op.mb >= m) continue;
+    const int pos = order.position(op.kind, op.layer, op.combines_w);
+    if (pos >= 0) placed.push_back({{op.mb, pos, static_cast<int>(k)}, op.id});
   }
-  std::size_t seen = 0;
-  while (!q.empty()) {
-    const OpId u = q.front();
-    q.pop();
-    ++seen;
-    for (OpId v : adj[static_cast<std::size_t>(u)]) {
-      if (--indeg[static_cast<std::size_t>(v)] == 0) q.push(v);
+  std::sort(placed.begin(), placed.end());
+  for (std::size_t lo = 0, hi = 0; lo < placed.size(); lo = hi) {
+    const int mb = placed[lo].first[0];
+    while (hi < placed.size() && placed[hi].first[0] == mb) ++hi;
+    const auto first = placed.begin() + static_cast<std::ptrdiff_t>(lo);
+    const auto last = placed.begin() + static_cast<std::ptrdiff_t>(hi);
+    OpId prev = kNoOp;  // the previous chain op, at prev_pos
+    int prev_pos = -1;
+    int last_pos = -1;  // the previous entry's position, to skip duplicates
+    for (auto it = first; it != last; ++it) {
+      const int pos = it->first[1];
+      if (pos == last_pos) continue;
+      last_pos = pos;
+      const int anchor = order.at(pos).anchor;
+      if (anchor < 0) {
+        if (prev != kNoOp) visit(mb, prev, it->second, prev_pos);
+        prev = it->second;
+        prev_pos = pos;
+      } else {
+        const auto a = std::lower_bound(
+            first, last, std::pair<std::array<int, 3>, OpId>{{mb, anchor, -1}, kNoOp});
+        if (a != last && a->first[1] == anchor) visit(mb, a->second, it->second, anchor);
+      }
     }
   }
-  if (seen != ops.size()) {
-    res.fail("dependency cycle: " + std::to_string(ops.size() - seen) + " ops unreachable");
+}
+
+}  // namespace
+
+MicroBatchOrder::MicroBatchOrder(int num_layers) : num_layers_(num_layers) {
+  if (num_layers < 0 || num_layers > kMaxShape) {
+    throw std::invalid_argument("MicroBatchOrder: num_layers " +
+                                std::to_string(num_layers) + " outside [0, " +
+                                std::to_string(kMaxShape) + "]");
   }
+  const int L = num_layers;
+  index_.assign(kNumKinds * static_cast<std::size_t>(L + 2), -1);
+  add(OpKind::kEmbedFwd, 0, -1);
+  for (int l = 0; l < L; ++l) {
+    add(OpKind::kFwdPre, l, -1);
+    add(OpKind::kFwdAttn, l, -1);
+    add(OpKind::kFwdPost, l, -1);
+  }
+  const int head = add(OpKind::kLmHeadLoss, L - 1, -1);
+  for (int l = L - 1; l >= 0; --l) {
+    add(OpKind::kBwdPost, l, -1);
+    add(OpKind::kBwdAttn, l, -1);
+    add(OpKind::kBwdPre, l, -1);
+  }
+  add(OpKind::kEmbedBwd, 0, -1);
+  chain_length_ = size();
+  for (int l = 0; l < L; ++l) {
+    add(OpKind::kBwdWPost, l, position(OpKind::kBwdPost, l, true));
+    add(OpKind::kBwdWPre, l, position(OpKind::kBwdPre, l, true));
+  }
+  // position() finds the flush by its flag, so it stays out of index_.
+  flush_ = size();
+  entries_.push_back({OpKind::kEmbedBwd, L - 1, head});
+}
+
+int MicroBatchOrder::add(OpKind kind, int layer, int anchor) {
+  const int pos = size();
+  entries_.push_back({kind, layer, anchor});
+  index_[static_cast<std::size_t>(kind) * static_cast<std::size_t>(num_layers_ + 2) +
+         static_cast<std::size_t>(layer + 1)] = pos;
+  return pos;
+}
+
+ValidationResult validate_structure(const Schedule& sched) {
+  ValidationResult res;
+  check_structure(sched, res);
   return res;
 }
 
 ValidationResult validate_semantics(const Schedule& sched) {
-  ValidationResult res = validate_structure(sched);
+  ValidationResult res;
+  const std::optional<CompiledSchedule> compiled = check_structure(sched, res);
   if (!res.ok) return res;
-  const auto adj = build_adjacency(sched, res);
-  const auto ops = sched.op_index();
+  const CompiledSchedule& cs = *compiled;
+  const MicroBatchOrder order(cs.num_layers);
+  const std::size_t n = cs.num_ops();
+  const int m = cs.num_micro_batches;
 
-  // Index semantic ops by (mb, kind, layer); first occurrence wins (a
-  // recompute re-execution of attention uses kRecomputeAttn, never kFwdAttn).
-  std::map<std::tuple<int, OpKind, int>, OpId> sem;
-  std::map<int, OpId> deferred_head_w;  ///< mb -> decoupled LM-head W flush
-  for (const Op* op : ops) {
-    if (is_comm(op->kind) || is_recompute(op->kind) ||
-        op->kind == OpKind::kOptimStep) {
-      continue;
-    }
-    if (op->kind == OpKind::kEmbedBwd && !op->combines_w) {
-      // Deferred LM-head backward-W flush (ZB1P): not part of the semantic
-      // chain. Identified by the decoupled flag, not by layer — at L == 1
-      // its layer (L-1) collides with the regular embedding backward's 0.
-      if (!deferred_head_w.emplace(static_cast<int>(op->mb), op->id).second) {
-        res.fail("duplicate deferred head backward-W " + op_desc(*op));
-      }
-      continue;
-    }
-    const auto key = std::make_tuple(static_cast<int>(op->mb), op->kind,
-                                     static_cast<int>(op->layer));
-    if (!sem.emplace(key, op->id).second) {
-      res.fail("duplicate semantic op " + op_desc(*op));
+  // No two ops may share a (micro batch, kind, layer) — keyed (mb, position)
+  // where the order holds the op, else (mb, kind, layer) — and the deferred
+  // flush is one per micro batch at any layer.
+  std::vector<std::pair<std::array<int, 4>, OpId>> keys;
+  std::vector<int> chain_pos(n, -1);  ///< chain position of each chain op
+  for (std::size_t i = 0; i < n; ++i) {
+    if (outside_order(cs.kind[i])) continue;
+    const int mb = cs.mb[i];
+    const int pos = order.position(cs.kind[i], cs.layer[i], cs.combines_w[i] != 0);
+    keys.push_back({{mb, pos, pos < 0 ? static_cast<int>(cs.kind[i]) : 0,
+                     pos < 0 ? cs.layer[i] : 0},
+                    static_cast<OpId>(i)});
+    if (pos >= 0 && pos < order.chain_length() && mb >= 0 && mb < m) chain_pos[i] = pos;
+  }
+  std::sort(keys.begin(), keys.end());
+  for (std::size_t k = 1; k < keys.size(); ++k) {
+    if (keys[k].first == keys[k - 1].first) {
+      res.fail("duplicate semantic op " + describe(cs.op(keys[k].second)));
     }
   }
   if (!res.ok) return res;
 
-  const auto get = [&](int mb, OpKind k, int layer) -> OpId {
-    const auto it = sem.find(std::make_tuple(mb, k, layer));
-    return it == sem.end() ? kNoOp : it->second;
-  };
-  const auto check_order = [&](OpId a, OpId b, const std::string& what) {
-    if (a == kNoOp || b == kNoOp) return;
-    if (!reachable(adj, a, b)) res.fail("missing ordering: " + what);
-  };
-
-  for (int mb = 0; mb < sched.num_micro_batches; ++mb) {
-    std::vector<OpId> chain;
-    const auto push = [&](OpKind k, int layer) {
-      const OpId id = get(mb, k, layer);
-      if (id != kNoOp) chain.push_back(id);
-    };
-    push(OpKind::kEmbedFwd, 0);
-    for (int l = 0; l < sched.num_layers; ++l) {
-      push(OpKind::kFwdPre, l);
-      push(OpKind::kFwdAttn, l);
-      push(OpKind::kFwdPost, l);
-    }
-    push(OpKind::kLmHeadLoss, sched.num_layers - 1);
-    for (int l = sched.num_layers - 1; l >= 0; --l) {
-      push(OpKind::kBwdPost, l);
-      push(OpKind::kBwdAttn, l);
-      push(OpKind::kBwdPre, l);
-    }
-    push(OpKind::kEmbedBwd, 0);
-    for (std::size_t i = 0; i + 1 < chain.size(); ++i) {
-      const Op& a = *ops[static_cast<std::size_t>(chain[i])];
-      const Op& b = *ops[static_cast<std::size_t>(chain[i + 1])];
-      check_order(chain[i], chain[i + 1],
-                  "mb " + std::to_string(mb) + ": " + op_desc(a) + " -> " + op_desc(b));
-    }
-    // Decoupled backward-W must follow its backward-B.
-    for (int l = 0; l < sched.num_layers; ++l) {
-      check_order(get(mb, OpKind::kBwdPost, l), get(mb, OpKind::kBwdWPost, l),
-                  "mb " + std::to_string(mb) + " BwdWPost layer " + std::to_string(l));
-      check_order(get(mb, OpKind::kBwdPre, l), get(mb, OpKind::kBwdWPre, l),
-                  "mb " + std::to_string(mb) + " BwdWPre layer " + std::to_string(l));
-    }
-    const auto dit = deferred_head_w.find(mb);
-    if (dit != deferred_head_w.end()) {
-      check_order(get(mb, OpKind::kLmHeadLoss, sched.num_layers - 1),
-                  dit->second,
-                  "mb " + std::to_string(mb) + " deferred head backward-W");
-    }
-  }
-
-  // A stage's OptimStep must be ordered after every gradient-producing op of
-  // that stage, or a reordered linearization could apply a partial gradient
-  // sum (the helix-tuned divergence the equivalence harness caught). One
-  // reverse reachability pass per OptimStep.
-  std::vector<std::vector<OpId>> radj(adj.size());
-  for (std::size_t u = 0; u < adj.size(); ++u) {
-    for (OpId v : adj[u]) {
-      radj[static_cast<std::size_t>(v)].push_back(static_cast<OpId>(u));
-    }
-  }
-  for (const Op* op : ops) {
-    if (op->kind != OpKind::kOptimStep) continue;
-    std::vector<bool> before(adj.size(), false);
-    std::queue<OpId> q;
-    q.push(op->id);
-    before[static_cast<std::size_t>(op->id)] = true;
-    while (!q.empty()) {
-      const OpId u = q.front();
-      q.pop();
-      for (OpId v : radj[static_cast<std::size_t>(u)]) {
-        if (!before[static_cast<std::size_t>(v)]) {
-          before[static_cast<std::size_t>(v)] = true;
-          q.push(v);
-        }
+  // Every order edge (a, b) must hold in the graph. One pass over the
+  // topological order per micro batch gives reach[v], the furthest chain
+  // position of that micro batch with a path to v; the edge holds when
+  // reach[b] is at least a's position. For a follower that is exact once the
+  // chain holds; for a chain edge, a later chain op reaching b could mask a
+  // missing a -> b, but then the last broken chain edge is caught, since
+  // nothing after it can reach back without a cycle.
+  std::vector<std::array<int, 4>> edges;  // (mb, before, after, before_pos)
+  for_each_order_edge(order, m, cs.ops, [&edges](int mb, OpId a, OpId b, int a_pos) {
+    edges.push_back({mb, a, b, a_pos});
+  });
+  std::vector<int> reach(n);
+  for (std::size_t lo = 0, hi = 0; lo < edges.size(); lo = hi) {
+    const int mb = edges[lo][0];
+    while (hi < edges.size() && edges[hi][0] == mb) ++hi;
+    std::fill(reach.begin(), reach.end(), -1);
+    for (const OpId u : cs.topo) {
+      const auto ui = static_cast<std::size_t>(u);
+      const int r = cs.mb[ui] == mb ? std::max(reach[ui], chain_pos[ui]) : reach[ui];
+      if (r < 0) continue;
+      for (const OpId* v = cs.succ_begin(u); v != cs.succ_end(u); ++v) {
+        int& rv = reach[static_cast<std::size_t>(*v)];
+        rv = std::max(rv, r);
       }
     }
-    for (const Op& g : sched.stage_ops[static_cast<std::size_t>(op->stage)]) {
-      const bool produces_grad =
-          is_backward_b(g.kind) || is_backward_w(g.kind) ||
-          g.kind == OpKind::kEmbedBwd || g.kind == OpKind::kLmHeadLoss;
-      if (produces_grad && !before[static_cast<std::size_t>(g.id)]) {
-        res.fail("missing ordering: " + op_desc(g) + " -> " + op_desc(*op) +
+    for (std::size_t k = lo; k < hi; ++k) {
+      const auto& [emb, a, b, a_pos] = edges[k];
+      if (reach[static_cast<std::size_t>(b)] < a_pos) {
+        res.fail("missing ordering: mb " + std::to_string(emb) + ": " +
+                 describe(cs.op(a)) + " -> " + describe(cs.op(b)));
+      }
+    }
+  }
+
+  // A stage's OptimStep must follow every gradient producer of that stage,
+  // or a reordered linearization could apply a partial gradient sum (the
+  // helix-tuned divergence the equivalence harness caught). All of them run
+  // on the stage's compute stream, so reachability is program order.
+  for (int s = 0; s < cs.num_stages; ++s) {
+    OpId optim = kNoOp;
+    for (const OpId* it = cs.compute_begin(s); it != cs.compute_end(s); ++it) {
+      const OpKind k = cs.kind[static_cast<std::size_t>(*it)];
+      if (k == OpKind::kOptimStep && optim == kNoOp) {
+        optim = *it;
+      } else if (optim != kNoOp && produces_grad(k)) {
+        res.fail("missing ordering: " + describe(cs.op(*it)) + " -> " +
+                 describe(cs.op(optim)) +
                  " (optimizer could apply a partial gradient sum)");
       }
     }
@@ -322,164 +242,144 @@ ValidationResult validate_semantics(const Schedule& sched) {
 
 ValidationResult validate_coverage(const Schedule& sched) {
   ValidationResult res;
+  const int S = sched.num_stages;
   const int m = sched.num_micro_batches;
   const int L = sched.num_layers;
+  const auto shape = [&] {
+    return std::to_string(S) + " stages, " + std::to_string(m) +
+           " micro batches, " + std::to_string(L) + " layers";
+  };
+  if (S < 0 || m < 0 || m > kMaxShape || L < 0 || L > kMaxShape) {
+    res.fail("shape outside [0, " + std::to_string(kMaxShape) + "]: " + shape());
+    return res;
+  }
+  const MicroBatchOrder order(L);
+  // Every stage needs an OptimStep and every micro batch its chain (LmHeadLoss
+  // aside): a schedule with fewer ops cannot cover its shape, and failing it
+  // here keeps the tables below proportional to the schedule.
+  const auto n = static_cast<std::int64_t>(sched.total_ops());
+  if (S > n || std::int64_t{m} * (order.chain_length() - 1) > n) {
+    res.fail(std::to_string(n) + " ops cannot cover " + shape());
+    return res;
+  }
+  const auto width = static_cast<std::size_t>(order.size());
 
-  // Observed op multiset keyed (mb, kind, layer); combines_w of the
-  // backward-B / LmHeadLoss ops drives the expected backward-W set.
-  std::map<std::tuple<int, OpKind, int>, int> seen;
-  std::map<std::tuple<int, OpKind, int>, bool> combines;
-  std::map<int, int> deferred_head_w;  ///< mb -> decoupled LM-head W flushes
-  std::vector<int> optim_per_stage(static_cast<std::size_t>(sched.num_stages), 0);
+  // Per (micro batch, position): the op count and the last op's combines_w
+  // (an absent op reads as combined, so it expects no follower).
+  std::vector<int> count(static_cast<std::size_t>(m) * width, 0);
+  std::vector<std::uint8_t> combines(count.size(), 1);
+  constexpr int kRecomputeKinds = 3;
+  std::vector<int> recomputes(static_cast<std::size_t>(m) * kRecomputeKinds *
+                                  static_cast<std::size_t>(L), 0);
+  std::vector<int> optim_per_stage(static_cast<std::size_t>(S), 0);
   bool any_head = false;
 
   for (const auto& stage : sched.stage_ops) {
     for (const Op& op : stage) {
       if (is_comm(op.kind)) continue;
       if (op.kind == OpKind::kOptimStep) {
-        ++optim_per_stage[static_cast<std::size_t>(op.stage)];
+        if (op.stage < 0 || op.stage >= S) {
+          res.fail(describe(op) + ": stage out of range [0, " + std::to_string(S) + ")");
+        } else {
+          ++optim_per_stage[static_cast<std::size_t>(op.stage)];
+        }
         continue;
       }
       if (op.mb < 0 || op.mb >= m) {
-        res.fail(op_desc(op) + ": micro batch out of range [0, " +
+        res.fail(describe(op) + ": micro batch out of range [0, " +
                  std::to_string(m) + ")");
         continue;
       }
       if (op.layer < 0 || op.layer >= L) {
-        res.fail(op_desc(op) + ": layer out of range [0, " + std::to_string(L) +
+        res.fail(describe(op) + ": layer out of range [0, " + std::to_string(L) +
                  ")");
         continue;
       }
-      if (op.kind == OpKind::kEmbedBwd && !op.combines_w) {
-        // Deferred LM-head backward-W flush (ZB1P): tracked by flag rather
-        // than layer, because at L == 1 its layer (L-1) collides with the
-        // regular embedding backward's layer 0.
-        if (op.layer != L - 1) {
-          res.fail(op_desc(op) + ": deferred head backward-W must sit at "
-                   "layer L-1 (" + std::to_string(L - 1) + ")");
-        }
-        ++deferred_head_w[static_cast<int>(op.mb)];
+      if (is_recompute(op.kind)) {
+        const int k = static_cast<int>(op.kind) - static_cast<int>(OpKind::kRecomputePre);
+        ++recomputes[static_cast<std::size_t>((op.mb * kRecomputeKinds + k) * L + op.layer)];
         continue;
       }
-      const auto key = std::make_tuple(static_cast<int>(op.mb), op.kind,
-                                       static_cast<int>(op.layer));
-      ++seen[key];
-      combines[key] = op.combines_w;
-      if (op.kind == OpKind::kLmHeadLoss) any_head = true;
+      const int pos = order.position(op.kind, op.layer, op.combines_w);
+      if (pos < 0) {  // a chain kind at a layer the chain does not visit
+        res.fail("mb " + std::to_string(op.mb) + ": unexpected " + describe(op));
+        continue;
+      }
+      // Only the flush can sit off its entry's layer: position() finds it
+      // by flag.
+      if (op.layer != order.at(pos).layer) {
+        res.fail(describe(op) + ": deferred head backward-W must sit at layer "
+                 "L-1 (" + std::to_string(L - 1) + ")");
+      }
+      const std::size_t cell = static_cast<std::size_t>(op.mb) * width +
+                               static_cast<std::size_t>(pos);
+      ++count[cell];
+      combines[cell] = op.combines_w ? 1 : 0;
+      any_head = any_head || op.kind == OpKind::kLmHeadLoss;
     }
   }
   if (!res.ok) return res;
 
-  for (int s = 0; s < sched.num_stages; ++s) {
+  for (int s = 0; s < S; ++s) {
     if (optim_per_stage[static_cast<std::size_t>(s)] != 1) {
       res.fail("stage " + std::to_string(s) + ": expected exactly 1 OptimStep, got " +
                std::to_string(optim_per_stage[static_cast<std::size_t>(s)]));
     }
   }
-
-  const auto count = [&](int mb, OpKind k, int layer) {
-    const auto it = seen.find(std::make_tuple(mb, k, layer));
-    return it == seen.end() ? 0 : it->second;
-  };
-  const auto combined = [&](int mb, OpKind k, int layer) {
-    const auto it = combines.find(std::make_tuple(mb, k, layer));
-    return it == combines.end() || it->second;
-  };
-
   for (int mb = 0; mb < m; ++mb) {
-    // Expected exactly-once multiset for this micro batch.
-    std::map<std::pair<OpKind, int>, int> expect;
-    expect[{OpKind::kEmbedFwd, 0}] = 1;
-    for (int l = 0; l < L; ++l) {
-      expect[{OpKind::kFwdPre, l}] = 1;
-      expect[{OpKind::kFwdAttn, l}] = 1;
-      expect[{OpKind::kFwdPost, l}] = 1;
-      expect[{OpKind::kBwdPost, l}] = 1;
-      expect[{OpKind::kBwdAttn, l}] = 1;
-      expect[{OpKind::kBwdPre, l}] = 1;
-      if (!combined(mb, OpKind::kBwdPost, l)) expect[{OpKind::kBwdWPost, l}] = 1;
-      if (!combined(mb, OpKind::kBwdPre, l)) expect[{OpKind::kBwdWPre, l}] = 1;
-    }
-    if (any_head) expect[{OpKind::kLmHeadLoss, L - 1}] = 1;
-    expect[{OpKind::kEmbedBwd, 0}] = 1;
-    // Deferred LM-head/embedding backward-W (ZB1P's last-stage spike): a
-    // decoupled EmbedBwd at layer L-1, legal only when LmHeadLoss is
-    // decoupled. Counted by flag so L == 1 (where layers collide) works.
-    {
-      const int want_deferred =
-          (any_head && !combined(mb, OpKind::kLmHeadLoss, L - 1)) ? 1 : 0;
-      const auto it = deferred_head_w.find(mb);
-      const int got_deferred = it == deferred_head_w.end() ? 0 : it->second;
-      if (got_deferred != want_deferred) {
-        res.fail("mb " + std::to_string(mb) + ": expected " +
-                 std::to_string(want_deferred) +
-                 "x deferred head backward-W (decoupled EmbedBwd), got " +
-                 std::to_string(got_deferred));
+    const std::size_t row = static_cast<std::size_t>(mb) * width;
+    for (int p = 0; p < order.size(); ++p) {
+      const MicroBatchOrder::Entry& e = order.at(p);
+      int want = 1;
+      if (e.anchor >= 0) {
+        const std::size_t a = row + static_cast<std::size_t>(e.anchor);
+        want = count[a] > 0 && combines[a] == 0 ? 1 : 0;
+      } else if (e.kind == OpKind::kLmHeadLoss) {
+        want = any_head ? 1 : 0;  // modeled by all micro batches or none
       }
-    }
-
-    for (const auto& [kl, want] : expect) {
-      const int got = count(mb, kl.first, kl.second);
+      const int got = count[row + static_cast<std::size_t>(p)];
       if (got != want) {
-        res.fail("mb " + std::to_string(mb) + ": expected " +
-                 std::to_string(want) + "x " + to_string(kl.first) + "(layer " +
-                 std::to_string(kl.second) + "), got " + std::to_string(got));
+        res.fail("mb " + std::to_string(mb) + ": expected " + std::to_string(want) +
+                 "x " + entry_name(e) + ", got " + std::to_string(got));
       }
     }
-  }
-
-  // Anything observed but not expected (stray backward-W without a decoupled
-  // backward-B, a duplicated recompute, an extra EmbedBwd, ...).
-  for (const auto& [key, got] : seen) {
-    const auto& [mb, kind, layer] = key;
-    if (is_recompute(kind)) {
-      if (got > 1) {
-        res.fail("mb " + std::to_string(mb) + ": " + to_string(kind) +
-                 "(layer " + std::to_string(layer) + ") executed " +
-                 std::to_string(got) + " times (recompute is at most once)");
-      }
-      continue;
-    }
-    int want = 0;
-    switch (kind) {
-      case OpKind::kEmbedFwd: want = layer == 0 ? 1 : 0; break;
-      case OpKind::kFwdPre:
-      case OpKind::kFwdAttn:
-      case OpKind::kFwdPost:
-      case OpKind::kBwdPost:
-      case OpKind::kBwdAttn:
-      case OpKind::kBwdPre: want = 1; break;
-      case OpKind::kLmHeadLoss: want = layer == L - 1 ? 1 : 0; break;
-      case OpKind::kBwdWPost:
-        want = combined(mb, OpKind::kBwdPost, layer) ? 0 : 1;
-        break;
-      case OpKind::kBwdWPre:
-        want = combined(mb, OpKind::kBwdPre, layer) ? 0 : 1;
-        break;
-      case OpKind::kEmbedBwd:
-        // Deferred (decoupled) flushes were diverted to deferred_head_w
-        // above; only the regular embedding backward at layer 0 remains.
-        want = layer == 0 ? 1 : 0;
-        break;
-      default: want = 0; break;
-    }
-    if (got != want) {
-      res.fail("mb " + std::to_string(mb) + ": unexpected " +
-               std::to_string(got) + "x " + to_string(kind) + "(layer " +
-               std::to_string(layer) + "), expected " + std::to_string(want));
-    }
-  }
-
-  // LM-head modeling must be uniform across micro batches.
-  if (any_head) {
-    for (int mb = 0; mb < m; ++mb) {
-      if (count(mb, OpKind::kLmHeadLoss, L - 1) == 0) {
-        res.fail("mb " + std::to_string(mb) +
-                 ": LmHeadLoss missing while other micro batches model it");
+    for (int k = 0; k < kRecomputeKinds; ++k) {
+      for (int l = 0; l < L; ++l) {
+        const int got =
+            recomputes[static_cast<std::size_t>((mb * kRecomputeKinds + k) * L + l)];
+        if (got > 1) {
+          res.fail("mb " + std::to_string(mb) + ": " +
+                   to_string(static_cast<OpKind>(static_cast<int>(OpKind::kRecomputePre) + k)) +
+                   "(layer " + std::to_string(l) + ") executed " + std::to_string(got) +
+                   " times (recompute is at most once)");
+        }
       }
     }
   }
   return res;
+}
+
+std::vector<std::pair<OpId, OpId>> semantic_order_edges(const Schedule& sched) {
+  const MicroBatchOrder order(sched.num_layers);
+  std::vector<const Op*> ops;  // program order, so the first of a duplicate wins
+  ops.reserve(sched.total_ops());
+  for (const auto& stage : sched.stage_ops) {
+    for (const Op& op : stage) ops.push_back(&op);
+  }
+  std::vector<std::pair<OpId, OpId>> edges;
+  for_each_order_edge(order, sched.num_micro_batches, ops,
+                      [&edges](int, OpId a, OpId b, int) { edges.emplace_back(a, b); });
+  for (const auto& stage : sched.stage_ops) {
+    OpId optim = kNoOp;
+    for (const Op& op : stage) {
+      if (op.kind == OpKind::kOptimStep) optim = op.id;
+    }
+    if (optim == kNoOp) continue;
+    for (const Op& op : stage) {
+      if (produces_grad(op.kind)) edges.emplace_back(op.id, optim);
+    }
+  }
+  return edges;
 }
 
 }  // namespace helix::core

@@ -11,8 +11,6 @@ namespace helix::obs {
 const char* to_string(LiveItemKind k) noexcept {
   switch (k) {
     case LiveItemKind::kSlot: return "slot";
-    case LiveItemKind::kComboY: return "combo-y";
-    case LiveItemKind::kGradY: return "grad-y";
     case LiveItemKind::kPreStash: return "pre-stash";
     case LiveItemKind::kAttnStash: return "attn-stash";
     case LiveItemKind::kPostStash: return "post-stash";

@@ -54,8 +54,6 @@ struct MemoryEvent {
 /// runtime::Interpreter::live_bytes walks).
 enum class LiveItemKind : std::uint8_t {
   kSlot,         ///< value slot keyed (DataSlot, mb, layer)
-  kComboY,       ///< forward combo output per mb
-  kGradY,        ///< backward combo gradient per mb
   kPreStash,
   kAttnStash,
   kPostStash,

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <type_traits>
 #include <vector>
 
 #include "core/ir.h"
@@ -19,10 +18,7 @@ struct AllocatorConfig;
 // metric shards for one training iteration; merging/exporting happens after
 // comm::World::run has joined every thread.
 //
-// Disabling: every instrumentation site is gated on a nullable pointer, and
-// NullRecorder provides the same interface as SpanRecorder with empty inline
-// bodies for call sites that prefer a compile-time-erased recorder. The
-// static_asserts below make "zero state, zero work" a compile-time contract.
+// Disabling: every instrumentation site is gated on a nullable pointer.
 namespace helix::obs {
 
 /// One executed op on one rank: what ran, where, and when (wall clock).
@@ -53,18 +49,6 @@ class SpanRecorder {
  private:
   std::vector<Span> spans_;
 };
-
-/// Drop-in no-op recorder: same surface, no state, nothing emitted.
-struct NullRecorder {
-  void reserve(std::size_t) const noexcept {}
-  void record(const Span&) const noexcept {}
-  void clear() const noexcept {}
-  bool empty() const noexcept { return true; }
-};
-static_assert(std::is_empty_v<NullRecorder>,
-              "NullRecorder must carry no state (zero-cost when disabled)");
-static_assert(std::is_trivially_destructible_v<NullRecorder>,
-              "NullRecorder must compile away entirely");
 
 class MemoryTracker;  // obs/memory.h
 

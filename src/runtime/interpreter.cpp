@@ -311,8 +311,6 @@ std::int64_t stats_bytes(const tensor::LayerNormStats& s) noexcept {
 std::int64_t Interpreter::live_bytes() const {
   std::int64_t b = 0;
   for (const auto& [key, msg] : slots_) b += comm::message_bytes(msg);
-  for (const auto& [mb, t] : combo_y_) b += tensor_bytes(t);
-  for (const auto& [mb, t] : grad_y_) b += tensor_bytes(t);
   for (const auto& [key, s] : pre_stash_) b += tensor_bytes(s.x) + stats_bytes(s.stats);
   for (const auto& [key, s] : attn_stash_) b += tensor_bytes(s.ln1) + tensor_bytes(s.wqkv);
   for (const auto& [key, s] : post_stash_) {
@@ -348,12 +346,6 @@ void Interpreter::sync_memory(const Op& op) {
     push(live_item_key(LiveItemKind::kSlot, static_cast<int>(std::get<0>(key)),
                        std::get<1>(key), std::get<2>(key)),
          comm::message_bytes(msg));
-  }
-  for (const auto& [mb, t] : combo_y_) {
-    push(live_item_key(LiveItemKind::kComboY, 0, mb, -1), tensor_bytes(t));
-  }
-  for (const auto& [mb, t] : grad_y_) {
-    push(live_item_key(LiveItemKind::kGradY, 0, mb, -1), tensor_bytes(t));
   }
   for (const auto& [key, s] : pre_stash_) {
     push(live_item_key(LiveItemKind::kPreStash, 0, key.mb, key.layer),

@@ -161,9 +161,6 @@ class Interpreter {
   std::vector<std::size_t> recv_queue_;
   std::size_t next_recv_ = 0;
   std::vector<std::size_t> pending_sends_;
-  // Activation flowing forward / gradient flowing backward, per micro batch.
-  std::map<int, Tensor> combo_y_;
-  std::map<int, Tensor> grad_y_;
   // Stashes.
   std::map<Key, nn::PreStash> pre_stash_;
   std::map<Key, nn::AttnStash> attn_stash_;

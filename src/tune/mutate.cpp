@@ -4,6 +4,7 @@
 
 #include "core/filo.h"
 #include "core/reorder.h"
+#include "core/validator.h"
 #include "schedules/interleaved.h"
 
 namespace helix::tune {
@@ -170,7 +171,7 @@ bool apply_mutation(Genome& g, MutationKind kind, std::mt19937_64& rng,
     case MutationKind::kRelist: {
       // The list scheduler honors explicit deps only, while generators
       // encode part of the semantic order through stream order (see
-      // semantic_constraint_edges). Run it on a dep-augmented copy, then
+      // core::semantic_order_edges). Run it on a dep-augmented copy, then
       // restore the original dep lists by op id so the table keeps holding
       // the IR the runtime would execute.
       core::Schedule s = g.table.lower();
@@ -182,7 +183,7 @@ bool apply_mutation(Genome& g, MutationKind kind, std::mt19937_64& rng,
           orig_deps[static_cast<std::size_t>(op.id)] = op.deps;
         }
       }
-      for (const auto& [a, b] : semantic_constraint_edges(s)) {
+      for (const auto& [a, b] : core::semantic_order_edges(s)) {
         by_id[static_cast<std::size_t>(b)]->deps.push_back(a);
       }
       core::Schedule relisted = core::reorder_stage_programs(s, cost);

@@ -34,15 +34,14 @@ double score_outcome(const sim::SweepOutcome& out, std::int64_t cap) {
   return s;
 }
 
-/// helix_check's IR gate: structure + per-micro-batch semantic order +
-/// exactly-once coverage. Mutations preserve these by construction; the
-/// gate is the backstop that makes "every accepted candidate is executable
-/// and trains the same math" an invariant of the search, not a property of
-/// the mutation set.
+/// helix_check's IR gate: structure + per-micro-batch semantic order (one
+/// call; validate_semantics runs validate_structure first) + exactly-once
+/// coverage. Mutations preserve these by construction; the gate is the
+/// backstop that makes "every accepted candidate is executable and trains
+/// the same math" an invariant of the search, not a property of the
+/// mutation set.
 bool passes_ir_gate(const core::Schedule& sched) {
-  return core::validate_structure(sched).ok &&
-         core::validate_semantics(sched).ok &&
-         core::validate_coverage(sched).ok;
+  return core::validate_semantics(sched).ok && core::validate_coverage(sched).ok;
 }
 
 Provenance seed_provenance(const core::PipelineProblem& pr,

@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <map>
 #include <stdexcept>
-#include <tuple>
+
+#include "core/validator.h"
 
 namespace helix::tune {
 
@@ -116,98 +117,13 @@ Table Table::lift(const core::Schedule& sched) {
   // constrain mutation (lower() never emits them), and they make every swap
   // the reachability check admits semantics-preserving by construction, not
   // just acyclic.
-  for (const auto& [a, b] : semantic_constraint_edges(sched)) {
+  for (const auto& [a, b] : core::semantic_order_edges(sched)) {
     t.succ_[static_cast<std::size_t>(a)].push_back(b);
   }
 
   t.visit_mark_.assign(total, 0);
   t.visit_queue_.reserve(total);
   return t;
-}
-
-std::vector<std::pair<OpId, OpId>> semantic_constraint_edges(
-    const core::Schedule& sched) {
-  // Mirrors core::validate_semantics: per micro-batch, the chain
-  // EmbedFwd -> [FwdPre, FwdAttn, FwdPost]_l -> LmHeadLoss ->
-  // [BwdPost, BwdAttn, BwdPre]_{l desc} -> EmbedBwd over the non-comm,
-  // non-recompute, non-optimizer ops (a decoupled EmbedBwd is the deferred
-  // LM-head W flush, outside the chain but after LmHeadLoss); backward-B
-  // before its matching decoupled backward-W; and OptimStep after every
-  // gradient producer on its stage.
-  std::vector<std::pair<OpId, OpId>> edges;
-  std::map<std::tuple<int, OpKind, int>, OpId> sem;
-  std::map<int, OpId> deferred_head_w;  // mb -> decoupled LM-head W flush
-  for (const auto& stage : sched.stage_ops) {
-    for (const Op& op : stage) {
-      if (core::is_comm(op.kind) || core::is_recompute(op.kind) ||
-          op.kind == OpKind::kOptimStep) {
-        continue;
-      }
-      if (op.kind == OpKind::kEmbedBwd && !op.combines_w) {
-        deferred_head_w.emplace(static_cast<int>(op.mb), op.id);
-        continue;
-      }
-      sem.emplace(std::make_tuple(static_cast<int>(op.mb), op.kind,
-                                  static_cast<int>(op.layer)),
-                  op.id);
-    }
-  }
-  const auto get = [&](int mb, OpKind k, int layer) -> OpId {
-    const auto it = sem.find(std::make_tuple(mb, k, layer));
-    return it == sem.end() ? core::kNoOp : it->second;
-  };
-  const auto edge = [&](OpId a, OpId b) {
-    if (a != core::kNoOp && b != core::kNoOp) edges.emplace_back(a, b);
-  };
-
-  const int L = sched.num_layers;
-  for (int mb = 0; mb < sched.num_micro_batches; ++mb) {
-    std::vector<OpId> chain;
-    const auto push = [&](OpKind k, int layer) {
-      const OpId id = get(mb, k, layer);
-      if (id != core::kNoOp) chain.push_back(id);
-    };
-    push(OpKind::kEmbedFwd, 0);
-    for (int l = 0; l < L; ++l) {
-      push(OpKind::kFwdPre, l);
-      push(OpKind::kFwdAttn, l);
-      push(OpKind::kFwdPost, l);
-    }
-    push(OpKind::kLmHeadLoss, L - 1);
-    for (int l = L - 1; l >= 0; --l) {
-      push(OpKind::kBwdPost, l);
-      push(OpKind::kBwdAttn, l);
-      push(OpKind::kBwdPre, l);
-    }
-    push(OpKind::kEmbedBwd, 0);
-    for (std::size_t i = 0; i + 1 < chain.size(); ++i) {
-      edge(chain[i], chain[i + 1]);
-    }
-    for (int l = 0; l < L; ++l) {
-      edge(get(mb, OpKind::kBwdPost, l), get(mb, OpKind::kBwdWPost, l));
-      edge(get(mb, OpKind::kBwdPre, l), get(mb, OpKind::kBwdWPre, l));
-    }
-    const auto dit = deferred_head_w.find(mb);
-    if (dit != deferred_head_w.end()) {
-      edge(get(mb, OpKind::kLmHeadLoss, L - 1), dit->second);
-    }
-  }
-
-  for (const auto& stage : sched.stage_ops) {
-    OpId optim = core::kNoOp;
-    for (const Op& op : stage) {
-      if (op.kind == OpKind::kOptimStep) optim = op.id;
-    }
-    if (optim == core::kNoOp) continue;
-    for (const Op& op : stage) {
-      const OpKind k = op.kind;
-      if (core::is_backward_b(k) || core::is_backward_w(k) ||
-          k == OpKind::kEmbedBwd || k == OpKind::kLmHeadLoss) {
-        edge(op.id, optim);
-      }
-    }
-  }
-  return edges;
 }
 
 core::Schedule Table::lower() const {

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/ir.h"
@@ -19,9 +18,11 @@
 // Schedule is reachable from a Table and vice versa.
 //
 // The point of the representation is safe mutation. Order edits go through
-// try_swap / try_move, which admit an edit only when the dependency graph
-// (op deps + send->recv rendezvous + per-stage stream order) stays acyclic;
-// a Table therefore stays executable *by construction*, and the search layer
+// try_swap / try_move, which admit an edit only when the constraint graph
+// (op deps + send->recv rendezvous + per-stage stream order + the
+// per-micro-batch order edges of core::semantic_order_edges, which the
+// validators enforce) stays acyclic; a Table therefore stays executable and
+// semantics-preserving *by construction*, and the search layer
 // (tune/search.h) never has to repair candidates. Regeneration knobs
 // (recompute set, chunking) live one level up in tune/mutate.h, since they
 // change the op payload, not just the order.
@@ -39,17 +40,6 @@ enum class CellKind : std::uint8_t {
 
 CellKind classify(core::OpKind k) noexcept;
 const char* to_string(CellKind k) noexcept;
-
-/// The ordering constraints core::validate_semantics enforces, as
-/// (before, after) op-id pairs: the per-micro-batch forward/backward chain,
-/// backward-B before its decoupled backward-W, LmHeadLoss before the
-/// deferred LM-head W flush, and OptimStep after every gradient producer on
-/// its stage. Generators encode most of these through per-stage *stream*
-/// order alone (no explicit dep), so any transformation that reorders a
-/// stage program — Table swaps, list re-scheduling — must honor these pairs
-/// explicitly or it will silently break semantics.
-std::vector<std::pair<core::OpId, core::OpId>> semantic_constraint_edges(
-    const core::Schedule& sched);
 
 /// One grid cell: the IR op, verbatim (the table owns a copy), plus its
 /// coarse type.
@@ -128,9 +118,10 @@ class Table {
   int num_layers_ = 0;
   std::vector<std::vector<Cell>> rows_;
   std::vector<CellRef> pos_;  ///< op id -> grid position
-  /// Static successor adjacency (op id -> consumer op ids): reversed deps
-  /// plus the send->recv rendezvous edge. Stream edges are implicit in the
-  /// row order and added dynamically during reachability checks.
+  /// Static successor adjacency (op id -> consumer op ids): reversed deps,
+  /// the send->recv rendezvous edge and core::semantic_order_edges. Stream
+  /// edges are implicit in the row order and added dynamically during
+  /// reachability checks.
   std::vector<std::vector<core::OpId>> succ_;
   mutable std::vector<std::uint32_t> visit_mark_;  ///< BFS scratch (epochs)
   mutable std::uint32_t visit_epoch_ = 0;

@@ -168,7 +168,9 @@ TEST(World, ReusableAfterAbortedRun) {
   // message must be gone, and normal traffic flows again.
   w.run([](Endpoint& ep) {
     if (ep.rank() == 0) ep.send(1, 5, {constant(1.0f)});
-    if (ep.rank() == 1) EXPECT_FLOAT_EQ(ep.recv(0, 5)[0][0], 1.0f);
+    if (ep.rank() == 1) {
+      EXPECT_FLOAT_EQ(ep.recv(0, 5)[0][0], 1.0f);
+    }
     ep.barrier();
   });
 }

@@ -1,0 +1,78 @@
+// Differential pin for the schedule checker. A seeded corpus of registry
+// schedules, tuner mutation chains and random corruptions (checker_corpus.h)
+// is hashed twice: once over every (structure, semantics, coverage) verdict,
+// once over every core::semantic_order_edges list. The expected values were
+// captured from the previous checker — an adjacency-list graph walked with
+// one BFS per chain edge, beside the tuner's own copy of the chain order —
+// so a changed verdict or a reordered constraint edge fails here.
+#include <gtest/gtest.h>
+
+#include <chrono>
+#include <cstdint>
+#include <cstdio>
+
+#include "checker_corpus.h"
+#include "core/validator.h"
+
+using namespace helix;
+
+namespace {
+
+struct Fnv {
+  std::uint64_t h = 1469598103934665603ull;
+  void mix(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  }
+};
+
+}  // namespace
+
+TEST(CheckerDifferential, VerdictsAndOrderEdgesMatchPinnedHashes) {
+  const corpus::CorpusSpec spec{.stages = {1, 2, 3},
+                                 .mb_multiples = {1, 2},
+                                 .layer_multiples = {1, 2},
+                                 .chain_steps = 2,
+                                 .corruptions = 12,
+                                 .seed = 20261017};
+  Fnv verdicts;
+  Fnv edges;
+  std::int64_t cases = 0;
+  std::int64_t passed[3] = {0, 0, 0};
+  const auto t0 = std::chrono::steady_clock::now();
+  corpus::for_each_corpus_schedule(spec, [&](const core::Schedule& s) {
+    const bool ok[3] = {core::validate_structure(s).ok,
+                        core::validate_semantics(s).ok,
+                        core::validate_coverage(s).ok};
+    verdicts.mix((ok[0] ? 1u : 0u) | (ok[1] ? 2u : 0u) | (ok[2] ? 4u : 0u));
+    const auto list = core::semantic_order_edges(s);
+    edges.mix(list.size());
+    for (const auto& [a, b] : list) {
+      edges.mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(a)) << 32 |
+                static_cast<std::uint32_t>(b));
+    }
+    for (int i = 0; i < 3; ++i) passed[i] += ok[i] ? 1 : 0;
+    ++cases;
+  });
+  const double secs =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  std::printf("corpus: %lld cases, passed structure %lld, semantics %lld, "
+              "coverage %lld, %.3f s\n",
+              static_cast<long long>(cases), static_cast<long long>(passed[0]),
+              static_cast<long long>(passed[1]), static_cast<long long>(passed[2]),
+              secs);
+  std::printf("hashes: verdicts 0x%016llx, edges 0x%016llx\n",
+              static_cast<unsigned long long>(verdicts.h),
+              static_cast<unsigned long long>(edges.h));
+
+  EXPECT_EQ(cases, 6968);
+  EXPECT_EQ(verdicts.h, 0x1f6bbd057704cd44ull);
+  EXPECT_EQ(edges.h, 0x86abe6289641be61ull);
+  // The corpus must exercise both sides of every checker.
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_GT(passed[i], cases / 10);
+    EXPECT_LT(passed[i], cases);
+  }
+}

@@ -5,12 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <climits>
+#include <string>
 #include <vector>
 
 #include "core/compiled.h"
 #include "core/cost.h"
 #include "core/ir.h"
+#include "core/validator.h"
 #include "schedules/registry.h"
+#include "sim/simulator.h"
 
 using namespace helix;
 using core::CompiledSchedule;
@@ -269,3 +273,96 @@ TEST(CompiledScheduleMalformed, EmptyScheduleCompiles) {
   EXPECT_EQ(cs.num_edges, 0u);
   EXPECT_TRUE(cs.topo.empty());
 }
+
+// Malformed IR that an earlier, separate validator graph passed (so the
+// simulator then indexed out of bounds or sized tag tables from a hostile
+// tag) or rejected while compile accepted it. Compile, the simulator and
+// validate_structure must now all refuse it, and the message must name the
+// offending op, tag or stage.
+namespace {
+
+void expect_rejected(const Schedule& s, const std::string& names) {
+  try {
+    (void)CompiledSchedule::build(s);
+    ADD_FAILURE() << "compile accepted the schedule";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find(names), std::string::npos) << e.what();
+  }
+  const core::UnitCostModel cost;
+  EXPECT_THROW(sim::Simulator(cost).run(s), std::logic_error);
+  const core::ValidationResult r = core::validate_structure(s);
+  ASSERT_FALSE(r.ok);
+  EXPECT_NE(r.errors.front().find(names), std::string::npos) << r.errors.front();
+  EXPECT_FALSE(core::validate_semantics(s).ok);
+}
+
+/// A matched Send (stage 0) / Recv (stage 1) pair with tag `tag`.
+Schedule transfer_pair(std::int32_t tag) {
+  Schedule s = two_stage_skeleton();
+  Op send = make_op(0, OpKind::kSend, 0);
+  Op recv = make_op(1, OpKind::kRecv, 1);
+  send.tag = recv.tag = tag;
+  send.peer = 1;
+  recv.peer = 0;
+  send.comm_elems = recv.comm_elems = 4;
+  s.stage_ops[0].push_back(send);
+  s.stage_ops[1].push_back(recv);
+  return s;
+}
+
+}  // namespace
+
+TEST(CompiledScheduleMalformed, MatchedPairIsAccepted) {
+  const Schedule s = transfer_pair(1);
+  EXPECT_NO_THROW(CompiledSchedule::build(s));
+  EXPECT_TRUE(core::validate_structure(s).ok);
+}
+
+TEST(CompiledScheduleMalformed, StageCountMismatchThrows) {
+  Schedule s = transfer_pair(0);
+  s.num_stages = 3;
+  expect_rejected(s, "num_stages is 3");
+}
+
+TEST(CompiledScheduleMalformed, OpOutsideItsStageProgramThrows) {
+  Schedule s = two_stage_skeleton();
+  Op op = make_op(0, OpKind::kFwdPre, 7);  // held by stage 0's program
+  s.stage_ops[0].push_back(op);
+  expect_rejected(s, "stage=7, mb=-1, layer=-1) sits in stage 0's program");
+}
+
+TEST(CompiledScheduleMalformed, TagOutsideOpRangeThrows) {
+  expect_rejected(transfer_pair(INT_MAX), "tag 2147483647 outside [0, 2)");
+  expect_rejected(transfer_pair(1 << 30), "tag 1073741824 outside [0, 2)");
+  expect_rejected(transfer_pair(2), "tag 2 outside [0, 2)");
+  expect_rejected(transfer_pair(-1), "tag -1 outside [0, 2)");
+}
+
+TEST(CompiledScheduleMalformed, DuplicateRecvTagThrows) {
+  Schedule s = transfer_pair(0);
+  Op second = s.stage_ops[1][0];
+  second.id = 2;
+  s.stage_ops[1].push_back(second);
+  expect_rejected(s, "share tag 0");
+}
+
+TEST(CompiledScheduleMalformed, SendWithoutRecvThrows) {
+  Schedule s = transfer_pair(0);
+  Op lone = s.stage_ops[0][0];
+  lone.id = 2;
+  lone.tag = 1;
+  s.stage_ops[0].push_back(lone);
+  expect_rejected(s, "Send(id=2, stage=0, mb=-1, layer=-1): no Recv carries tag 1");
+}
+
+TEST(CompiledScheduleMalformed, ShapeOutsideTheOpFieldsRangeThrows) {
+  Schedule s = transfer_pair(0);
+  s.num_micro_batches = -1;
+  expect_rejected(s, "num_micro_batches -1");
+  s.num_micro_batches = 1;
+  s.num_layers = -3;
+  expect_rejected(s, "num_layers -3");
+  s.num_layers = core::kMaxShape + 1;
+  expect_rejected(s, "num_layers 32769");
+}
+

@@ -3,6 +3,8 @@
 // proves nothing.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/cost.h"
 #include "core/filo.h"
 #include "core/validator.h"
@@ -29,6 +31,12 @@ Schedule valid() {
                               {.two_fold = false, .recompute_without_attention = false});
 }
 
+/// `r` failed, and its first message names what is wrong.
+void expect_names(const ValidationResult& r, const std::string& what) {
+  ASSERT_FALSE(r.ok);
+  EXPECT_NE(r.errors.front().find(what), std::string::npos) << r.errors.front();
+}
+
 Op* find_op(Schedule& s, OpKind kind) {
   for (auto& stage : s.stage_ops) {
     for (auto& op : stage) {
@@ -49,8 +57,7 @@ TEST(ValidatorNegative, DetectsOrphanSend) {
   Op* send = find_op(s, OpKind::kSend);
   ASSERT_NE(send, nullptr);
   send->tag = 999999;  // no matching recv
-  const auto r = validate_structure(s);
-  EXPECT_FALSE(r.ok);
+  expect_names(validate_structure(s), "tag 999999 outside");
 }
 
 TEST(ValidatorNegative, DetectsPayloadMismatch) {
@@ -58,7 +65,7 @@ TEST(ValidatorNegative, DetectsPayloadMismatch) {
   Op* send = find_op(s, OpKind::kSend);
   ASSERT_NE(send, nullptr);
   send->comm_elems += 17;
-  EXPECT_FALSE(validate_structure(s).ok);
+  expect_names(validate_structure(s), "payload size mismatch Send(id=");
 }
 
 TEST(ValidatorNegative, DetectsEmptyPayload) {
@@ -66,7 +73,7 @@ TEST(ValidatorNegative, DetectsEmptyPayload) {
   Op* send = find_op(s, OpKind::kSend);
   ASSERT_NE(send, nullptr);
   send->comm_elems = 0;
-  EXPECT_FALSE(validate_structure(s).ok);
+  expect_names(validate_structure(s), "): empty payload");
 }
 
 TEST(ValidatorNegative, DetectsMemoryLeak) {
@@ -74,7 +81,8 @@ TEST(ValidatorNegative, DetectsMemoryLeak) {
   Op* fwd = find_op(s, OpKind::kFwdAttn);
   ASSERT_NE(fwd, nullptr);
   fwd->alloc_bytes += 4096;  // allocated but never freed
-  EXPECT_FALSE(validate_structure(s).ok);
+  expect_names(validate_structure(s),
+               "stage " + std::to_string(fwd->stage) + ": unbalanced");
 }
 
 TEST(ValidatorNegative, DetectsNegativeMemory) {
@@ -82,7 +90,7 @@ TEST(ValidatorNegative, DetectsNegativeMemory) {
   Op* fwd = find_op(s, OpKind::kFwdPre);
   ASSERT_NE(fwd, nullptr);
   fwd->alloc_bytes = -1;
-  EXPECT_FALSE(validate_structure(s).ok);
+  expect_names(validate_structure(s), "FwdPre(id=" + std::to_string(fwd->id));
 }
 
 TEST(ValidatorNegative, DetectsDependencyCycle) {
@@ -92,7 +100,7 @@ TEST(ValidatorNegative, DetectsDependencyCycle) {
   auto& ops = s.stage_ops[0];
   ASSERT_GT(ops.size(), 4u);
   ops[1].deps.push_back(ops[ops.size() - 2].id);
-  EXPECT_FALSE(validate_structure(s).ok);
+  expect_names(validate_structure(s), "dependency cycle");
   const core::UnitCostModel cost;
   EXPECT_THROW(sim::Simulator(cost).run(s), std::logic_error);
 }
@@ -116,8 +124,7 @@ TEST(ValidatorNegative, DetectsMissingSemanticOrder) {
   // it to another micro batch id to break the chain lookup.
   attn->deps.clear();
   attn->mb = static_cast<std::int16_t>(attn->mb == 0 ? 1 : 0);
-  const auto r = validate_semantics(s);
-  EXPECT_FALSE(r.ok);
+  expect_names(validate_semantics(s), "FwdAttn(id=");
 }
 
 TEST(CoverageNegative, BaselineCoversEverything) {
@@ -131,9 +138,9 @@ TEST(CoverageNegative, DetectsDroppedOp) {
   for (auto& stage : s.stage_ops) {
     for (std::size_t i = 0; i < stage.size(); ++i) {
       if (stage[i].kind == OpKind::kBwdAttn) {
+        const std::string layer = std::to_string(stage[i].layer);
         stage.erase(stage.begin() + static_cast<std::ptrdiff_t>(i));
-        const auto r = validate_coverage(s);
-        EXPECT_FALSE(r.ok);
+        expect_names(validate_coverage(s), "expected 1x BwdAttn(layer " + layer + "), got 0");
         return;
       }
     }
@@ -150,7 +157,7 @@ TEST(CoverageNegative, DetectsDuplicatedOp) {
       break;
     }
   }
-  EXPECT_FALSE(validate_coverage(s).ok);
+  expect_names(validate_coverage(s), "expected 1x FwdPost(layer ");
 }
 
 TEST(CoverageNegative, DetectsStrayBackwardW) {
@@ -163,7 +170,7 @@ TEST(CoverageNegative, DetectsStrayBackwardW) {
   stray.mb = 0;
   stray.layer = 0;
   s.stage_ops[0].push_back(stray);
-  EXPECT_FALSE(validate_coverage(s).ok);
+  expect_names(validate_coverage(s), "mb 0: expected 0x BwdWPre(layer 0), got 1");
 }
 
 TEST(CoverageNegative, DetectsMissingOptimStep) {
@@ -172,7 +179,7 @@ TEST(CoverageNegative, DetectsMissingOptimStep) {
     for (std::size_t i = 0; i < stage.size(); ++i) {
       if (stage[i].kind == OpKind::kOptimStep) {
         stage.erase(stage.begin() + static_cast<std::ptrdiff_t>(i));
-        EXPECT_FALSE(validate_coverage(s).ok);
+        expect_names(validate_coverage(s), "expected exactly 1 OptimStep, got 0");
         return;
       }
     }
@@ -185,7 +192,7 @@ TEST(CoverageNegative, DetectsMicroBatchOutOfRange) {
   Op* fwd = find_op(s, OpKind::kFwdPre);
   ASSERT_NE(fwd, nullptr);
   fwd->mb = static_cast<std::int16_t>(s.num_micro_batches);
-  EXPECT_FALSE(validate_coverage(s).ok);
+  expect_names(validate_coverage(s), "FwdPre(id=" + std::to_string(fwd->id));
 }
 
 TEST(CoverageNegative, Zb1pDecoupledPairingHolds) {
@@ -210,7 +217,7 @@ TEST(CoverageNegative, DeferredEmbedBwdRequiresDecoupledHead) {
   ASSERT_NE(head, nullptr);
   ASSERT_FALSE(head->combines_w);
   head->combines_w = true;
-  EXPECT_FALSE(validate_coverage(s).ok);
+  expect_names(validate_coverage(s), "expected 0x deferred head backward-W");
 }
 
 TEST(ValidatorNegative, SimulatorRejectsNonDenseIds) {
@@ -218,6 +225,53 @@ TEST(ValidatorNegative, SimulatorRejectsNonDenseIds) {
   s.stage_ops[0][0].id = 100000;
   const core::UnitCostModel cost;
   EXPECT_THROW(sim::Simulator(cost).run(s), std::logic_error);
+}
+
+// Coverage reads raw stage programs (it does not compile), so a hostile
+// OptimStep stage field or shape must be reported, not used as an index.
+TEST(ValidatorNegative, OptimStepStageOutOfRangeIsReported) {
+  auto s = valid();
+  Op* optim = find_op(s, OpKind::kOptimStep);
+  ASSERT_NE(optim, nullptr);
+  optim->stage = 7;
+  const auto cov = validate_coverage(s);
+  ASSERT_FALSE(cov.ok);
+  EXPECT_NE(cov.errors.front().find("OptimStep(id="), std::string::npos);
+  EXPECT_NE(cov.errors.front().find("stage out of range [0, 2)"), std::string::npos)
+      << cov.errors.front();
+  const auto sem = validate_semantics(s);
+  ASSERT_FALSE(sem.ok);
+  EXPECT_NE(sem.errors.front().find("sits in stage"), std::string::npos)
+      << sem.errors.front();
+}
+
+TEST(ValidatorNegative, NegativeShapeIsRejected) {
+  for (const bool layers : {false, true}) {
+    auto s = valid();
+    (layers ? s.num_layers : s.num_micro_batches) = -1;
+    EXPECT_FALSE(validate_structure(s).ok);
+    EXPECT_FALSE(validate_semantics(s).ok);
+    const auto cov = validate_coverage(s);
+    ASSERT_FALSE(cov.ok);
+    EXPECT_NE(cov.errors.front().find(layers ? "-1 layers" : "-1 micro batches"),
+              std::string::npos)
+        << cov.errors.front();
+    if (layers) {
+      EXPECT_THROW(semantic_order_edges(s), std::invalid_argument);
+    }
+  }
+}
+
+// A shape far larger than the schedule is reported before coverage sizes a
+// (micro batch, position) table from it.
+TEST(ValidatorNegative, ShapeLargerThanTheScheduleIsRejected) {
+  auto s = valid();
+  s.num_micro_batches = kMaxShape;
+  s.num_layers = kMaxShape;
+  const auto cov = validate_coverage(s);
+  ASSERT_FALSE(cov.ok);
+  EXPECT_NE(cov.errors.front().find("ops cannot cover"), std::string::npos)
+      << cov.errors.front();
 }
 
 }  // namespace

@@ -90,7 +90,9 @@ TEST(MemoryTrace, PeakAttributionDecomposesThePeak) {
     std::int64_t sum = 0;
     for (std::size_t i = 0; i < rows.size(); ++i) {
       EXPECT_GT(rows[i].bytes, 0);
-      if (i > 0) EXPECT_LE(rows[i].bytes, rows[i - 1].bytes) << "sorted desc";
+      if (i > 0) {
+        EXPECT_LE(rows[i].bytes, rows[i - 1].bytes) << "sorted desc";
+      }
       sum += rows[i].bytes;
     }
     EXPECT_EQ(sum, t->peak_allocated())

@@ -75,7 +75,7 @@ INSTANTIATE_TEST_SUITE_P(
         WindowCase{"onef1b_w0", ScheduleFamily::k1F1B, 2, 4, 4, 0},
         WindowCase{"onef1b_unbounded", ScheduleFamily::k1F1B, 2, 4, 4,
                    kUnboundedLookahead},
-        WindowCase{"zb1p_w1", ScheduleFamily::kZb1p, 2, 4, 4, 1},
+        WindowCase{"zb1p_lookahead1", ScheduleFamily::kZb1p, 2, 4, 4, 1},
         WindowCase{"zb1p_unbounded", ScheduleFamily::kZb1p, 2, 4, 4,
                    kUnboundedLookahead},
         WindowCase{"gpipe_w4", ScheduleFamily::kGPipe, 2, 4, 4, 4}),

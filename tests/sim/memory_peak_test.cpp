@@ -108,7 +108,9 @@ TEST_P(MemoryPeaks, HelixMatchesTable2) {
                            static_cast<double>(res.max_peak_memory());
       EXPECT_GE(ratio, 2.4);
       EXPECT_LE(ratio, 4.2);
-      if (L / p >= 4) EXPECT_GE(ratio, 3.0);
+      if (L / p >= 4) {
+        EXPECT_GE(ratio, 3.0);
+      }
     }
   }
 }

@@ -129,7 +129,9 @@ TEST(Mutate, RefusedSwapLeavesTableUnchanged) {
       const bool can = t.can_swap(r, s);
       tune::Table copy = t;
       EXPECT_EQ(copy.try_swap(r, s), can);
-      if (!can) EXPECT_EQ(copy.fingerprint(), before);
+      if (!can) {
+        EXPECT_EQ(copy.fingerprint(), before);
+      }
     }
   }
 }
