@@ -185,10 +185,11 @@ inline std::vector<MeasuredStageMemory> measure_numeric_memory(
   const nn::Batch batch = nn::Batch::random(cfg, 11);
   nn::ModelParams params = nn::ModelParams::init(cfg, 3);
   obs::TraceCollector trace(stages);
+  trace.enable_memory();
   const runtime::TrainerOptions opt{
       .family = family, .pipeline_stages = stages,
       .recompute_without_attention = recompute_without_attention,
-      .trace = &trace, .track_memory = true};
+      .trace = &trace};
   runtime::Trainer trainer(params, opt);
   (void)trainer.train_step(batch);
   const std::vector<i64> model = runtime::predict_stage_peak_bytes(cfg, opt);

@@ -156,13 +156,13 @@ int main(int argc, char** argv) {
 
   const int stages = 4;
   obs::TraceCollector trace(stages);
+  trace.enable_memory();
   const runtime::TrainerOptions options{
       .family = runtime::ScheduleFamily::kHelixTwoFold,
       .pipeline_stages = stages,
       .recompute_without_attention = true,
       .mlp_chunks = 2,
-      .trace = &trace,
-      .track_memory = true};
+      .trace = &trace};
   runtime::Trainer trainer(params, options);
   const core::Schedule& sched = trainer.schedule();
   std::printf("HelixPipe runtime trace: schedule '%s', %zu ops, %d stages "

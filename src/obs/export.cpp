@@ -87,7 +87,7 @@ MeasuredRun measured_stats(const TraceCollector& trace) {
     st.bytes_sent = cm.bytes_sent.value;
     st.bytes_received = cm.bytes_received.value;
     st.mailbox_depth_peak = cm.mailbox_depth.high_water;
-    st.live_peak_bytes = trace.runtime(r).live_tensor_bytes.high_water;
+    st.live_peak_bytes = trace.live_peak(r);
   }
   run.makespan_s = any ? static_cast<double>(last_end - first_start) / 1e9 : 0.0;
   for (auto& st : run.stages) {

@@ -7,9 +7,8 @@
 // Metrics primitives for the threaded runtime, header-only so `src/comm` can
 // use them without a link dependency on the obs library.
 //
-// Threading model: metrics are sharded per rank (one CommMetrics /
-// RuntimeMetrics per rank thread). A shard is written only by its owner
-// thread — with two deliberate exceptions that piggyback on locks the comm
+// Threading model: metrics are sharded per rank (one CommMetrics per rank
+// thread). A shard is written only by its owner thread — with two deliberate exceptions that piggyback on locks the comm
 // layer already holds:
 //   * `CommMetrics::mailbox_depth` of rank r is updated by sender threads
 //     (rank threads and their comm workers), but only under r's mailbox
@@ -121,50 +120,5 @@ struct alignas(64) CommMetrics {
   /// included — every drained recv records exactly one sample.
   DurationHistogram recv_wait_hist;
 };
-
-/// Per-rank runtime (interpreter) metrics shard.
-struct alignas(64) RuntimeMetrics {
-  Counter ops_executed;
-  Counter compute_ns;  ///< total wall time of non-comm ops
-  Counter comm_op_ns;  ///< total wall time of Send/Recv ops (incl. wait)
-  /// Bytes held in the interpreter's value slots and stashes (activations in
-  /// flight); high_water is the live-tensor peak for the iteration.
-  Gauge live_tensor_bytes;
-};
-
-/// One rank's iteration in a nutshell: the comm and runtime shards merged
-/// into the flat record runtime::IterationMetrics carries back to callers.
-struct RankSummary {
-  int rank = -1;
-  std::int64_t ops_executed = 0;
-  std::int64_t busy_ns = 0;     ///< compute-op wall time
-  std::int64_t comm_op_ns = 0;  ///< Send/Recv op wall time (incl. waits)
-  /// Recv wait that blocked the compute thread / wait retired while it was
-  /// busy elsewhere (overlapped). Blocking runs have hidden == 0.
-  std::int64_t recv_wait_exposed_ns = 0;
-  std::int64_t recv_wait_hidden_ns = 0;
-  std::int64_t barrier_wait_ns = 0;
-  std::int64_t bytes_sent = 0;
-  std::int64_t bytes_received = 0;
-  std::int64_t live_peak_bytes = 0;     ///< slot/stash high water
-  std::int64_t mailbox_depth_peak = 0;  ///< queued-message high water
-};
-
-inline RankSummary summarize(int rank, const CommMetrics& comm,
-                             const RuntimeMetrics& runtime) noexcept {
-  RankSummary s;
-  s.rank = rank;
-  s.ops_executed = runtime.ops_executed.value;
-  s.busy_ns = runtime.compute_ns.value;
-  s.comm_op_ns = runtime.comm_op_ns.value;
-  s.recv_wait_exposed_ns = comm.recv_wait_exposed_ns.value;
-  s.recv_wait_hidden_ns = comm.recv_wait_hidden_ns.value;
-  s.barrier_wait_ns = comm.barrier_wait_ns.value;
-  s.bytes_sent = comm.bytes_sent.value;
-  s.bytes_received = comm.bytes_received.value;
-  s.live_peak_bytes = runtime.live_tensor_bytes.high_water;
-  s.mailbox_depth_peak = comm.mailbox_depth.high_water;
-  return s;
-}
 
 }  // namespace helix::obs

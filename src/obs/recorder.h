@@ -14,11 +14,12 @@ struct AllocatorConfig;
 
 // Span recording for the threaded runtime: one SpanRecorder per rank, owned
 // and written exclusively by that rank's thread (append to a local vector —
-// no locks, no atomics). A TraceCollector bundles the per-rank recorder and
-// metric shards for one training iteration; merging/exporting happens after
-// comm::World::run has joined every thread.
+// no locks, no atomics). A TraceCollector bundles the per-rank recorder,
+// comm metric shard and live-byte peak for one training iteration;
+// merging/exporting happens after comm::World::run has joined every thread.
 //
-// Disabling: every instrumentation site is gated on a nullable pointer.
+// Disabling: the interpreter reaches all of it through one nullable
+// TraceCollector pointer.
 namespace helix::obs {
 
 /// One executed op on one rank: what ran, where, and when (wall clock).
@@ -52,9 +53,28 @@ class SpanRecorder {
 
 class MemoryTracker;  // obs/memory.h
 
-/// All observability state for one World::run: per-rank span recorders plus
-/// comm and runtime metric shards (and, opt-in, per-rank memory trackers),
-/// and the epoch the trace is rebased to.
+/// One rank's iteration in a nutshell: op counts and times summed from its
+/// spans, its comm shard and its live-byte peak, the flat record
+/// runtime::IterationMetrics carries back to callers.
+struct RankSummary {
+  int rank = -1;
+  std::int64_t ops_executed = 0;
+  std::int64_t busy_ns = 0;     ///< compute-op wall time
+  std::int64_t comm_op_ns = 0;  ///< Send/Recv op wall time (incl. waits)
+  /// Recv wait that blocked the compute thread / wait retired while it was
+  /// busy elsewhere (overlapped). Blocking runs have hidden == 0.
+  std::int64_t recv_wait_exposed_ns = 0;
+  std::int64_t recv_wait_hidden_ns = 0;
+  std::int64_t barrier_wait_ns = 0;
+  std::int64_t bytes_sent = 0;
+  std::int64_t bytes_received = 0;
+  std::int64_t live_peak_bytes = 0;     ///< slot/stash high water
+  std::int64_t mailbox_depth_peak = 0;  ///< queued-message high water
+};
+
+/// All observability state for one World::run: per-rank span recorders,
+/// comm metric shards and live-byte peaks (and, opt-in, per-rank memory
+/// trackers), and the epoch the trace is rebased to.
 class TraceCollector {
  public:
   explicit TraceCollector(int num_ranks);
@@ -70,10 +90,15 @@ class TraceCollector {
   }
   CommMetrics& comm(int rank) { return comm_[static_cast<std::size_t>(rank)]; }
   const CommMetrics& comm(int rank) const { return comm_[static_cast<std::size_t>(rank)]; }
-  RuntimeMetrics& runtime(int rank) { return runtime_[static_cast<std::size_t>(rank)]; }
-  const RuntimeMetrics& runtime(int rank) const {
-    return runtime_[static_cast<std::size_t>(rank)];
+  /// High water of the bytes held in the rank's value slots and stashes,
+  /// written by the rank's interpreter after each op.
+  std::int64_t& live_peak(int rank) { return live_peak_[static_cast<std::size_t>(rank)]; }
+  std::int64_t live_peak(int rank) const {
+    return live_peak_[static_cast<std::size_t>(rank)];
   }
+  /// The rank's summary: ops and busy/comm time summed from its spans, next
+  /// to its comm counters and live peak. Read after the run has joined.
+  RankSummary summary(int rank) const;
 
   /// Contiguous shard array for comm::World::set_metrics.
   CommMetrics* comm_shards() noexcept { return comm_.data(); }
@@ -107,7 +132,7 @@ class TraceCollector {
  private:
   std::vector<SpanRecorder> spans_;
   std::vector<CommMetrics> comm_;
-  std::vector<RuntimeMetrics> runtime_;
+  std::vector<std::int64_t> live_peak_;
   std::vector<std::unique_ptr<MemoryTracker>> memory_;  ///< empty until enabled
   std::int64_t epoch_ns_ = 0;
 };

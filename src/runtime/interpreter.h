@@ -6,6 +6,10 @@
 #include "nn/parts.h"
 #include "obs/recorder.h"
 
+namespace helix::obs {
+class HealthCollector;  // obs/health.h
+}  // namespace helix::obs
+
 // Numerical execution of a schedule IR: every rank walks its per-stage op
 // program, moving real tensors through the same Send/Recv pairs the
 // simulator times. One Interpreter instance runs one rank of one iteration;
@@ -26,9 +30,6 @@ inline constexpr int kUnboundedLookahead = -1;
 
 struct InterpreterOptions {
   int mlp_chunks = 1;
-  /// True for schedules generated with recompute_without_attention: forward
-  /// keeps only the minimal stashes and Recompute ops restore intermediates.
-  bool recompute_without_attention = false;
   /// When set, OptimStep runs Adam with this rank's persistent state
   /// (covering the parameters this rank owns) instead of SGD.
   nn::AdamState* adam = nullptr;
@@ -50,32 +51,17 @@ struct InterpreterOptions {
   /// async_comm.
   int recv_lookahead = kUnboundedLookahead;
 
-  // Observability sinks (normally wired by runtime::Trainer from one
-  // obs::TraceCollector). All optional and independent; when null — the
-  // default — the corresponding instrumentation is skipped behind a single
-  // pointer test and the interpreter does no extra work. Instrumentation
-  // only reads clocks and counters, never tensor data, so results are
-  // bit-identical with it on or off.
-  /// Wall-clock span per executed op (this rank's shard, owner-thread only).
-  obs::SpanRecorder* spans = nullptr;
-  /// Per-op aggregates + live-tensor-bytes gauge from slot/stash accounting.
-  /// Note: updating the gauge walks the live slots/stashes after every op
-  /// (O(live state)); acceptable for observed runs, skipped when null.
-  obs::RuntimeMetrics* runtime_metrics = nullptr;
-  /// This rank's comm shard, read to attribute recv blocked-wait to the
-  /// enclosing op span (the comm layer fills it via World::set_metrics).
-  const obs::CommMetrics* comm_metrics = nullptr;
-  /// This rank's memory tracker (obs/memory.h): after every op, the live
-  /// slot/stash snapshot is shadow-allocated on its instrumented caching
-  /// allocator, tagged with the op's (kind, mb, layer). Like the other
-  /// sinks, reads sizes only — never tensor data.
-  obs::MemoryTracker* memory = nullptr;
-  /// Live-run health (obs/flight.h, wired by Trainer from TrainerOptions::
-  /// health). `flight` receives op-start/op-retire events; `health` gets the
-  /// monotonic ops_retired counter + last-op cell the watchdog samples.
-  /// Independent of the trace sinks above and of `traced`.
-  obs::FlightRecorder* flight = nullptr;
-  obs::RankHealth* health = nullptr;
+  // Observers (normally the Trainer's). Both optional and independent; when
+  // null — the default — do_op skips each behind one pointer test. They read
+  // clocks, counters and sizes, never tensor data, so results are
+  // bit-identical with them on or off.
+  /// This rank's op spans with their exposed recv wait, its live-byte peak
+  /// and, after TraceCollector::enable_memory(), its memory tracker.
+  obs::TraceCollector* trace = nullptr;
+  /// Flight op-start/op-retire events and the progress cell the watchdog
+  /// samples (plus a kLivePeak event per new live peak while `trace` is
+  /// also attached).
+  obs::HealthCollector* health = nullptr;
 };
 
 struct IterationMetrics {
@@ -120,14 +106,19 @@ class Interpreter {
   };
 
   void exec(const core::Op& op);
-  void exec_traced(const core::Op& op, std::uint64_t tid);
-  /// Bytes currently held in value slots and stashes (live activations).
-  std::int64_t live_bytes() const;
-  /// Snapshot the live items and sync them onto opt_.memory's allocator,
-  /// tagging the transition with `op`.
-  void sync_memory(const core::Op& op);
+  /// Snapshot the live slots and stashes (one walk of the containers) and
+  /// sync them onto `tracker`'s allocator, tagging the transition with `op`.
+  void sync_memory(obs::MemoryTracker& tracker, const core::Op& op) const;
   comm::Message take_slot(core::DataSlot slot, int mb, int layer);
   void put_slot(core::DataSlot slot, int mb, int layer, comm::Message msg);
+  /// Every value entering or leaving a slot or stash container goes through
+  /// put/take, which keep live_bytes_.
+  template <class Map>
+  void put(Map& map, const typename Map::key_type& key,
+           typename Map::mapped_type value, const char* what);
+  template <class Map>
+  typename Map::mapped_type take(Map& map, const typename Map::key_type& key,
+                                 const char* what);
 
   // Asynchronous engine (opt_.async_comm): comm ops execute at their post
   // moment, not their program position; run() drives these around every op.
@@ -136,12 +127,12 @@ class Interpreter {
   void prepare_async();
   /// Post irecv for every not-yet-posted Recv op within `recv_lookahead`
   /// positions of program index `i` (all of them when unbounded).
-  void prefetch_recvs(std::size_t i, bool traced, std::uint64_t tid);
+  void prefetch_recvs(std::size_t i);
   /// Post isend for every not-yet-posted Send op whose value slot has been
   /// produced, in program order.
-  void post_ready_sends(bool traced, std::uint64_t tid);
-  /// Execute one program op through exec/exec_traced.
-  void do_op(const core::Op& op, bool traced, std::uint64_t tid);
+  void post_ready_sends();
+  /// Execute one program op and report it to the attached observers.
+  void do_op(const core::Op& op);
 
   const core::CompiledSchedule& compiled_;
   int rank_;
@@ -149,6 +140,13 @@ class Interpreter {
   nn::ModelParams& params_;
   const nn::Batch& batch_;
   InterpreterOptions opt_;
+  /// The program was generated with recomputation without attention: it has
+  /// RecomputePre/RecomputePost ops, so forward keeps only the minimal
+  /// stashes and those ops restore the intermediates.
+  bool recompute_ = false;
+  /// Bytes held in value slots and stashes (live activations).
+  std::int64_t live_bytes_ = 0;
+  std::uint64_t tid_ = 0;  ///< hash of the rank thread's id, for spans
 
   // Logical value slots keyed (slot kind, mb, layer); written by producers
   // or Recv ops, consumed exactly once.

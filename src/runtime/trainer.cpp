@@ -52,8 +52,8 @@ core::Schedule build_numeric_schedule(const nn::MiniGptConfig& cfg,
   pr.include_lm_head = true;
 
   // Activation stash bytes of the fp32 mini-GPT, matching what the
-  // interpreter actually keeps live per (micro batch, layer) — see
-  // Interpreter::live_bytes.
+  // interpreter actually keeps live per (micro batch, layer) — see the
+  // bytes_of formulas in runtime/interpreter.cpp.
   const std::int64_t bshB = cfg.rows() * cfg.hidden * 4;
   const std::int64_t statsB = 2 * cfg.rows() * 4;  ///< LayerNorm mean + rstd
   const std::int64_t qkvB = 3 * cfg.hidden * cfg.hidden * 4;  ///< shipped Wqkv
@@ -199,7 +199,6 @@ Trainer::Trainer(nn::ModelParams& params, TrainerOptions options)
     throw std::invalid_argument("TrainerOptions::threads must be >= 0");
   }
   if (opt_.threads > 0) par::set_global_threads(opt_.threads);
-  if (opt_.track_memory && opt_.trace != nullptr) opt_.trace->enable_memory();
   // Environment overrides so CI (and users) can re-run any suite under the
   // async comm engine without touching call sites; numerics are identical.
   // All integer variables go through the checked parser (runtime/env.h):
@@ -269,22 +268,13 @@ IterationMetrics Trainer::train_step(const nn::Batch& batch) {
     Interpreter interp(
         compiled_, r, ep, params_, batch,
         {.mlp_chunks = opt_.mlp_chunks,
-         .recompute_without_attention =
-             opt_.recompute_without_attention &&
-             (opt_.family == ScheduleFamily::kHelixNaive ||
-              opt_.family == ScheduleFamily::kHelixTwoFold ||
-              opt_.family == ScheduleFamily::kHelixTuned),
          .adam = opt_.optimizer == OptimizerKind::kAdam
                      ? &adam_states_[static_cast<std::size_t>(r)]
                      : nullptr,
          .async_comm = opt_.async_comm,
          .recv_lookahead = opt_.comm_lookahead,
-         .spans = trace != nullptr ? &trace->recorder(r) : nullptr,
-         .runtime_metrics = trace != nullptr ? &trace->runtime(r) : nullptr,
-         .comm_metrics = trace != nullptr ? &trace->comm(r) : nullptr,
-         .memory = trace != nullptr ? trace->memory(r) : nullptr,
-         .flight = health_ != nullptr ? &health_->recorder(r) : nullptr,
-         .health = health_ != nullptr ? &health_->cell(r) : nullptr});
+         .trace = trace,
+         .health = health_.get()});
     metrics[static_cast<std::size_t>(r)] = interp.run();
   };
   try {
@@ -328,8 +318,7 @@ IterationMetrics Trainer::train_step(const nn::Batch& batch) {
     // Threads are joined: shards are quiescent, merge them into the result.
     out.rank_summaries.reserve(static_cast<std::size_t>(sched_.num_stages));
     for (int r = 0; r < sched_.num_stages; ++r) {
-      out.rank_summaries.push_back(
-          obs::summarize(r, trace->comm(r), trace->runtime(r)));
+      out.rank_summaries.push_back(trace->summary(r));
     }
   }
   return out;

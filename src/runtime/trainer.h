@@ -57,18 +57,15 @@ struct TrainerOptions {
   int comm_lookahead = kUnboundedLookahead;
   /// Optional observability sink (caller-owned, must outlive the Trainer).
   /// When set, every train_step records per-op wall-clock spans, comm
-  /// counters and live-memory gauges into it (resetting it first via
+  /// counters and each rank's live-byte peak into it (resetting it first via
   /// begin_iteration), and IterationMetrics::rank_summaries is filled.
-  /// Must have one shard per pipeline stage. When null (the default) no
-  /// instrumentation runs and execution is untouched.
+  /// After trace->enable_memory(), each step also shadow-allocates every
+  /// rank's live tensor state on an instrumented mem::CachingAllocator
+  /// (obs/memory.h): tagged allocator timelines, peak attribution and the
+  /// memory section of the reconciliation report. Must have one shard per
+  /// pipeline stage. When null (the default) no instrumentation runs and
+  /// execution is untouched; numerics are bit-identical either way.
   obs::TraceCollector* trace = nullptr;
-  /// With `trace` set, additionally enable per-rank memory tracking: every
-  /// train_step shadow-allocates the interpreter's live tensor state on an
-  /// instrumented mem::CachingAllocator per rank (obs/memory.h), producing
-  /// tagged allocator timelines, peak attribution and the memory section of
-  /// the reconciliation report. Ignored without a trace collector; numerics
-  /// are bit-identical either way.
-  bool track_memory = false;
   /// Live-run health (obs/health.h): per-rank flight recorders, progress
   /// watchdog and post-mortem dumps. Disabled by default — a detached run is
   /// bit-identical and does zero extra work. The HELIX_HEALTH environment
@@ -82,10 +79,10 @@ struct TrainerOptions {
   /// (the autotuner's differential-gate path: train a mutated schedule and
   /// compare bitwise against the sequential reference). Borrowed — must
   /// outlive Trainer construction — and must match the model configuration
-  /// (stages / micro batches / layers are validated). `family`,
-  /// `recompute_without_attention` and `mlp_chunks` must still describe how
-  /// the schedule's ops were generated, since they configure the
-  /// interpreter's execution of those ops.
+  /// (stages / micro batches / layers are validated). `mlp_chunks` must
+  /// still match how the schedule's ops were generated; recomputation
+  /// without attention is read off the schedule's RecomputePre /
+  /// RecomputePost ops.
   const core::Schedule* schedule = nullptr;
 };
 

@@ -89,12 +89,11 @@ runtime::TrainerOptions options_for(const GateConfig& cfg,
                                     const core::Schedule& schedule,
                                     bool async) {
   runtime::TrainerOptions opt;
-  // The family field only matters for schedule *generation* and memory
-  // prediction; with an injected schedule it picks the interpreter-side
-  // conventions, which the helix families share with every other family.
+  // With an injected schedule the family only sets the stage count the
+  // schedule is checked against; any pipelined family reads
+  // pipeline_stages.
   opt.family = runtime::ScheduleFamily::kHelixNaive;
   opt.pipeline_stages = cfg.pipeline_stages;
-  opt.recompute_without_attention = cfg.recompute_without_attention;
   opt.mlp_chunks = cfg.mlp_chunks;
   opt.optimizer = cfg.adam ? runtime::OptimizerKind::kAdam
                            : runtime::OptimizerKind::kSgd;

@@ -21,9 +21,7 @@ namespace helix::tune {
 struct GateConfig {
   nn::MiniGptConfig model;  ///< must match the schedule's p/m/L
   int pipeline_stages = 2;
-  /// How the schedule's ops were generated (configures the interpreter).
-  bool recompute_without_attention = false;
-  int mlp_chunks = 1;
+  int mlp_chunks = 1;  ///< must match how the schedule's ops were generated
   bool adam = false;
   int steps = 2;
   std::uint64_t data_seed = 1234;

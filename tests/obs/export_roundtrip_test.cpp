@@ -27,9 +27,10 @@ obs::TraceCollector traced_iteration(int stages) {
   const nn::Batch batch = nn::Batch::random(cfg, 11);
   nn::ModelParams params = nn::ModelParams::init(cfg, 3);
   obs::TraceCollector trace(stages);
+  trace.enable_memory();
   runtime::Trainer trainer(params, {.family = runtime::ScheduleFamily::k1F1B,
                                     .pipeline_stages = stages,
-                                    .trace = &trace, .track_memory = true});
+                                    .trace = &trace});
   (void)trainer.train_step(batch);
   return trace;
 }

@@ -43,10 +43,10 @@ MemRun run_tracked(ScheduleFamily family, int stages, bool track_memory) {
   const nn::Batch batch = nn::Batch::random(cfg, 7);
   nn::ModelParams params = nn::ModelParams::init(cfg, 11);
   MemRun out{{}, obs::TraceCollector(stages), {}};
+  if (track_memory) out.trace.enable_memory();
   Trainer trainer(params, {.family = family,
                            .pipeline_stages = stages,
-                           .trace = &out.trace,
-                           .track_memory = track_memory});
+                           .trace = &out.trace});
   out.sched = trainer.schedule();
   out.metrics = trainer.train_step(batch);
   return out;
@@ -173,12 +173,12 @@ TEST(MemoryTrace, TrackingIsNumericallyInvisible) {
   nn::ModelParams plain = nn::ModelParams::init(cfg, 11);
   nn::ModelParams tracked = nn::ModelParams::init(cfg, 11);
   obs::TraceCollector trace(2);
+  trace.enable_memory();
   Trainer plain_trainer(plain, {.family = ScheduleFamily::kHelixTwoFold,
                                 .pipeline_stages = 2});
   Trainer tracked_trainer(tracked, {.family = ScheduleFamily::kHelixTwoFold,
                                     .pipeline_stages = 2,
-                                    .trace = &trace,
-                                    .track_memory = true});
+                                    .trace = &trace});
   for (int iter = 0; iter < 2; ++iter) {
     const IterationMetrics a = plain_trainer.train_step(batch);
     const IterationMetrics b = tracked_trainer.train_step(batch);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "obs/metrics.h"
+#include "obs/recorder.h"
 
 namespace helix::obs {
 namespace {
@@ -109,8 +110,8 @@ TEST(DurationHistogram, MergeCombinesShards) {
 }
 
 TEST(Summarize, FlattensShardsIntoRankSummary) {
-  CommMetrics comm;
-  RuntimeMetrics runtime;
+  TraceCollector trace(5);
+  CommMetrics& comm = trace.comm(4);
   comm.bytes_sent.add(100);
   comm.bytes_received.add(200);
   comm.recv_wait_exposed_ns.add(7);
@@ -118,14 +119,16 @@ TEST(Summarize, FlattensShardsIntoRankSummary) {
   comm.barrier_wait_ns.add(3);
   comm.mailbox_depth.set(5);
   comm.mailbox_depth.set(2);
-  runtime.ops_executed.add(9);
-  runtime.compute_ns.add(11);
-  runtime.comm_op_ns.add(13);
-  runtime.live_tensor_bytes.set(1024);
-  runtime.live_tensor_bytes.set(64);
-  const RankSummary s = summarize(4, comm, runtime);
+  // Op counts and times are summed from the spans: two compute ops (11 ns)
+  // and one comm op (13 ns).
+  SpanRecorder& spans = trace.recorder(4);
+  spans.record({.kind = core::OpKind::kFwdPre, .start_ns = 0, .end_ns = 5});
+  spans.record({.kind = core::OpKind::kSend, .start_ns = 5, .end_ns = 18});
+  spans.record({.kind = core::OpKind::kBwdPost, .start_ns = 18, .end_ns = 24});
+  trace.live_peak(4) = 1024;
+  const RankSummary s = trace.summary(4);
   EXPECT_EQ(s.rank, 4);
-  EXPECT_EQ(s.ops_executed, 9);
+  EXPECT_EQ(s.ops_executed, 3);
   EXPECT_EQ(s.busy_ns, 11);
   EXPECT_EQ(s.comm_op_ns, 13);
   EXPECT_EQ(s.recv_wait_exposed_ns, 7);

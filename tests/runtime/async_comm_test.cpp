@@ -136,10 +136,8 @@ TEST(AsyncComm, EngineIsEngagedAndAccountingStaysOnePerOp) {
     // posted handles.
     EXPECT_GT(run.trace.comm(r).isend_posted.value, 0) << "rank " << r;
     EXPECT_GT(run.trace.comm(r).irecv_posted.value, 0) << "rank " << r;
-    // Exactly one span and one ops_executed tick per IR op, comm included.
+    // Exactly one span per IR op, comm included.
     EXPECT_EQ(run.trace.recorder(r).spans().size(), program.size());
-    EXPECT_EQ(run.trace.runtime(r).ops_executed.value,
-              static_cast<std::int64_t>(program.size()));
     // Exposed + hidden is a partition: both are non-negative, and every
     // blocked nanosecond is in exactly one bucket.
     EXPECT_GE(run.trace.comm(r).recv_wait_exposed_ns.value, 0);

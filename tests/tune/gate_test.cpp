@@ -65,8 +65,8 @@ core::Schedule mutated_schedule(const std::string& family,
     std::mt19937_64 rng(seed);
     const tune::MutationOptions opt;
     for (int i = 0; i < 12; ++i) {
-      // Order mutations only: the gate config below assumes the seed op set
-      // (no recompute toggles), which is how search provenance drives it.
+      // Order mutations only, so the seed's op set is kept; the gate reads
+      // recomputation off the schedule's ops either way.
       const tune::MutationKind kinds[] = {
           tune::MutationKind::kSwapAdjacent, tune::MutationKind::kMoveWEarlier,
           tune::MutationKind::kHoistRecv, tune::MutationKind::kWidenLookahead,

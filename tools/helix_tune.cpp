@@ -90,7 +90,6 @@ bool run_gate(const tune::TunedCandidate& best, int p, int m, int L) {
   tune::GateConfig gc;
   gc.model = model;
   gc.pipeline_stages = p;
-  gc.recompute_without_attention = best.prov.recompute;
   const tune::GateResult res = tune::differential_gate(best.schedule, gc);
   if (res.ok()) {
     std::printf("  gate: bit-identical to the sequential reference "
