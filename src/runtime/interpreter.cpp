@@ -204,8 +204,11 @@ void Interpreter::exec(const Op& op) {
       nn::PostStash stash = take(post_stash_, {mb, l}, "post stash");
       Tensor y = nn::post_recompute(p, opt_.mlp_chunks, stash);
       put(post_stash_, {mb, l}, std::move(stash), "post stash");
-      // The recomputed output is the next pre-attention's input.
-      put(pre_stash_, {mb, l + 1}, {.x = std::move(y), .stats = {}}, "pre stash");
+      // The recomputed output is the next pre-attention's input; the last
+      // layer's output feeds only the LM head, whose backward already ran.
+      if (l + 1 < compiled_.num_layers) {
+        put(pre_stash_, {mb, l + 1}, {.x = std::move(y), .stats = {}}, "pre stash");
+      }
       break;
     }
     case OpKind::kRecomputePre: {
@@ -478,27 +481,34 @@ IterationMetrics Interpreter::run() {
   }
   if (!opt_.async_comm) {
     for (std::size_t i = 0; i < psize; ++i) do_op(compiled_.op(prog[i]));
-    return metrics_;
-  }
-  // Async engine: comm ops execute (post) at the earliest legal moment and
-  // are skipped at their program position; compute ops still run in exact
-  // program order, so numerics match the blocking engine bit-for-bit.
-  prepare_async();
-  for (std::size_t i = 0; i < psize; ++i) {
-    prefetch_recvs(i);
-    const Op& op = compiled_.op(prog[i]);
-    if (op.kind == OpKind::kRecv) continue;  // posted by the prefetch window
-    if (op.kind == OpKind::kSend) {
-      // Normally posted eagerly by post_ready_sends; the fallback covers a
-      // Send fed directly by a Recv (slot still in a handle at this point).
-      if (!pending_sends_.empty() && pending_sends_.front() == i) {
-        do_op(op);
-        pending_sends_.erase(pending_sends_.begin());
+  } else {
+    // Async engine: comm ops execute (post) at the earliest legal moment and
+    // are skipped at their program position; compute ops still run in exact
+    // program order, so numerics match the blocking engine bit-for-bit.
+    prepare_async();
+    for (std::size_t i = 0; i < psize; ++i) {
+      prefetch_recvs(i);
+      const Op& op = compiled_.op(prog[i]);
+      if (op.kind == OpKind::kRecv) continue;  // posted by the prefetch window
+      if (op.kind == OpKind::kSend) {
+        // Normally posted eagerly by post_ready_sends; the fallback covers a
+        // Send fed directly by a Recv (slot still in a handle at this point).
+        if (!pending_sends_.empty() && pending_sends_.front() == i) {
+          do_op(op);
+          pending_sends_.erase(pending_sends_.begin());
+        }
+        continue;
       }
-      continue;
+      do_op(op);
+      post_ready_sends();
     }
-    do_op(op);
-    post_ready_sends();
+  }
+  // Every slot is consumed and every stash taken within the iteration; a
+  // value still held here was written for a consumer the program lacks.
+  if (live_bytes_ != 0) {
+    throw std::logic_error("rank " + std::to_string(rank_) + ": " +
+                           std::to_string(live_bytes_) +
+                           " bytes of slots and stashes outlive the iteration");
   }
   return metrics_;
 }

@@ -38,7 +38,8 @@ struct MemRun {
   IterationMetrics metrics;
 };
 
-MemRun run_tracked(ScheduleFamily family, int stages, bool track_memory) {
+MemRun run_tracked(ScheduleFamily family, int stages, bool track_memory,
+                   bool recompute = false) {
   const nn::MiniGptConfig cfg = mem_config(stages);
   const nn::Batch batch = nn::Batch::random(cfg, 7);
   nn::ModelParams params = nn::ModelParams::init(cfg, 11);
@@ -46,18 +47,20 @@ MemRun run_tracked(ScheduleFamily family, int stages, bool track_memory) {
   if (track_memory) out.trace.enable_memory();
   Trainer trainer(params, {.family = family,
                            .pipeline_stages = stages,
+                           .recompute_without_attention = recompute,
                            .trace = &out.trace});
   out.sched = trainer.schedule();
   out.metrics = trainer.train_step(batch);
   return out;
 }
 
-TEST(MemoryTrace, TrackersRecordTaggedEventsAndBracketLiveGauge) {
-  const MemRun run = run_tracked(ScheduleFamily::k1F1B, 4, true);
+/// The allocator peak brackets the interpreter's exact live-byte high water,
+/// every event is tagged, and the allocator ends the iteration empty.
+void bracket_live_gauge(const MemRun& run) {
   ASSERT_TRUE(run.trace.memory_enabled());
   for (int r = 0; r < run.trace.num_ranks(); ++r) {
     const obs::MemoryTracker* t = run.trace.memory(r);
-    ASSERT_NE(t, nullptr) << "rank " << r;
+    ASSERT_NE(t, nullptr) << run.sched.name << " rank " << r;
     ASSERT_FALSE(t->events().empty());
     std::int64_t prev_ts = 0;
     for (const obs::MemoryEvent& me : t->events()) {
@@ -76,8 +79,15 @@ TEST(MemoryTrace, TrackersRecordTaggedEventsAndBracketLiveGauge) {
         << "rounding slack should stay far below the tracked bytes";
     // The iteration drains: every slot is consumed and every stash freed, so
     // the shadow allocator must end empty.
-    EXPECT_EQ(t->allocator().stats().allocated_bytes, 0) << "rank " << r;
+    EXPECT_EQ(t->allocator().stats().allocated_bytes, 0)
+        << run.sched.name << " rank " << r;
   }
+}
+
+TEST(MemoryTrace, TrackersRecordTaggedEventsAndBracketLiveGauge) {
+  bracket_live_gauge(run_tracked(ScheduleFamily::k1F1B, 4, true));
+  // Recomputation refills stashes in place and must leave none behind.
+  bracket_live_gauge(run_tracked(ScheduleFamily::kHelixTwoFold, 2, true, true));
 }
 
 TEST(MemoryTrace, PeakAttributionDecomposesThePeak) {

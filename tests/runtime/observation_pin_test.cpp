@@ -170,10 +170,10 @@ const PinCase kCases[] = {
      {0xa165167cc6fa2703ull, 0x86f4ea74beea6bc3ull,
       0x00d69c4924a39e2full, 0x857f7571e31c8983ull}},
     {"helix_two_fold_rc", ScheduleFamily::kHelixTwoFold, true, 2,
-     {0x159ce57da1a5e883ull, 0xda8f153e9e4e4b87ull,
-      0x7a8027b78a9ede33ull, 0x84f74764061b764bull},
-     {0x0f6698ce38695f83ull, 0xc682915373ffd993ull,
-      0xf0b8ca020a0be4fbull, 0x84f74764061b764bull}},
+     {0x159ce57da1a5e883ull, 0xe634acc95c2879dfull,
+      0x384321504fd514d3ull, 0x55324ae0da6b468full},
+     {0x0f6698ce38695f83ull, 0x52f561629f0f0d7full,
+      0x6dcc204e01e2cc83ull, 0x55324ae0da6b468full}},
     {"interleaved", ScheduleFamily::kInterleaved, false, 1,
      {0xe37b642197f04403ull, 0x17701a29c8031d8bull,
       0x10a8b70f40e63993ull, 0xf40cccf7b5549d8bull},
