@@ -184,7 +184,7 @@ int main(int argc, char** argv) {
   std::printf("wrote %s (%zu bytes) — open in chrome://tracing or Perfetto\n\n",
               trace_path.c_str(), json.size());
 
-  // Per-rank measured summary from the metric shards.
+  // Per-rank measured summary from the spans and comm shards.
   std::printf("%-6s %10s %10s %10s %12s %12s %12s %8s\n", "rank", "busy ms",
               "comm ms", "wait ms", "sent B", "recvd B", "live peak B", "mbox");
   for (const obs::RankSummary& r : metrics.rank_summaries) {

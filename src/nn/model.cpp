@@ -2,13 +2,35 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <utility>
 
 namespace helix::nn {
 
 using tensor::fill_normal_like;
 using tensor::fill_uniform;
 
+void validate(const MiniGptConfig& cfg) {
+  const std::pair<const char*, i64> fields[] = {
+      {"layers", cfg.layers}, {"hidden", cfg.hidden},
+      {"heads", cfg.heads},   {"seq", cfg.seq},
+      {"batch", cfg.batch},   {"vocab", cfg.vocab},
+      {"micro_batches", cfg.micro_batches}};
+  for (const auto& [name, value] : fields) {
+    if (value < 1) {
+      throw std::invalid_argument("MiniGptConfig::" + std::string(name) + " = " +
+                                  std::to_string(value) + " must be >= 1");
+    }
+  }
+  if (cfg.hidden % cfg.heads != 0) {
+    throw std::invalid_argument(
+        "MiniGptConfig::heads = " + std::to_string(cfg.heads) +
+        " must divide MiniGptConfig::hidden = " + std::to_string(cfg.hidden));
+  }
+}
+
 ModelParams ModelParams::init(const MiniGptConfig& cfg, std::uint64_t seed) {
+  validate(cfg);
   ModelParams p;
   p.cfg = cfg;
   const i64 h = cfg.hidden;

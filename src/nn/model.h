@@ -26,6 +26,10 @@ struct MiniGptConfig {
   i64 rows() const { return batch * seq; }
 };
 
+/// Throws std::invalid_argument naming the first integer field that is not
+/// >= 1, or `heads` when it does not divide `hidden`.
+void validate(const MiniGptConfig& cfg);
+
 struct LayerParams {
   Tensor ln1_g, ln1_b;  ///< [h]
   Tensor wqkv;          ///< [h, 3h]
@@ -42,6 +46,7 @@ struct ModelParams {
   Tensor wpe;  ///< [seq, h]
   Tensor wlm;  ///< [h, vocab] (untied head)
 
+  /// Validates `cfg` first (see validate).
   static ModelParams init(const MiniGptConfig& cfg, std::uint64_t seed);
 
   /// Max |a - b| over all parameters.

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -162,15 +161,5 @@ std::string render_memory_attribution(const TraceCollector& trace);
 /// from par::global_pool_stats() next to the reconciliation table so a
 /// traced run also shows how well the kernel parallelism was utilised.
 std::string render_pool_stats(const par::PoolStats& stats);
-
-/// A parsed trace event: raw field -> value token (strings unquoted).
-using ParsedEvent = std::map<std::string, std::string>;
-
-/// Strict parser for the JSON arrays chrome_trace_json emits: flat objects
-/// with string/number values, plus at most one level of nesting for counter
-/// events' "args" object (flattened into "args.<key>" entries). Throws
-/// std::runtime_error with a position on malformed input — used by tests to
-/// prove exported traces are well-formed.
-std::vector<ParsedEvent> parse_chrome_trace(const std::string& json);
 
 }  // namespace helix::obs

@@ -8,7 +8,7 @@
 
 // Memory observability for the numerical runtime: a per-rank MemoryTracker
 // shadow-allocates the interpreter's live tensor state (value slots and
-// stashes — the same items runtime::Interpreter::live_bytes walks) on a
+// stashes — the same items its running live-byte total counts) on a
 // mem::CachingAllocator behavioural model, so a real training iteration
 // produces a measured, attributable allocator timeline:
 //
@@ -29,8 +29,9 @@
 // granularity) and the measured peak is the max over op boundaries.
 //
 // Detachment guarantee: the tracker only ever reads item *sizes* computed
-// from tensor shapes — never tensor data — and is reached through a nullable
-// pointer in InterpreterOptions; numerics are bit-identical with tracking
+// from tensor shapes — never tensor data — and exists only after
+// TraceCollector::enable_memory(); the interpreter walks its containers for a
+// snapshot only when it finds one. Numerics are bit-identical with tracking
 // attached or detached, and detached runs do zero extra work.
 namespace helix::obs {
 
@@ -50,8 +51,8 @@ struct MemoryEvent {
   MemTag tag;
 };
 
-/// Category of one live interpreter item (mirrors the containers
-/// runtime::Interpreter::live_bytes walks).
+/// Category of one live interpreter item (one per slot or stash container
+/// of runtime::Interpreter).
 enum class LiveItemKind : std::uint8_t {
   kSlot,         ///< value slot keyed (DataSlot, mb, layer)
   kPreStash,

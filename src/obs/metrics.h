@@ -4,12 +4,16 @@
 #include <array>
 #include <cstdint>
 
-// Metrics primitives for the threaded runtime, header-only so `src/comm` can
-// use them without a link dependency on the obs library.
+// Comm metrics primitives for the threaded runtime, header-only so
+// `src/comm` can use them without a link dependency on the obs library. The
+// interpreter's own per-op figures (op counts, busy time, live-byte peak)
+// are not kept here: obs::TraceCollector::summary derives them from the
+// spans.
 //
 // Threading model: metrics are sharded per rank (one CommMetrics per rank
-// thread). A shard is written only by its owner thread — with two deliberate exceptions that piggyback on locks the comm
-// layer already holds:
+// thread). A shard is written only by its owner thread — with two
+// deliberate exceptions that piggyback on locks the comm layer already
+// holds:
 //   * `CommMetrics::mailbox_depth` of rank r is updated by sender threads
 //     (rank threads and their comm workers), but only under r's mailbox
 //     mutex (delivery is serialized anyway);
@@ -27,7 +31,7 @@ struct Counter {
   void inc() noexcept { ++value; }
 };
 
-/// Gauge with a high-water mark (e.g. live tensor bytes, queue depth).
+/// Gauge with a high-water mark (e.g. mailbox queue depth).
 struct Gauge {
   std::int64_t value = 0;
   std::int64_t high_water = 0;

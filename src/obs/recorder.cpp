@@ -55,11 +55,4 @@ RankSummary TraceCollector::summary(int rank) const {
   return s;
 }
 
-bool TraceCollector::has_spans() const noexcept {
-  for (const auto& r : spans_) {
-    if (!r.empty()) return true;
-  }
-  return false;
-}
-
 }  // namespace helix::obs

@@ -45,7 +45,6 @@ class SpanRecorder {
   void record(const Span& s) { spans_.push_back(s); }
   void clear() noexcept { spans_.clear(); }
   const std::vector<Span>& spans() const noexcept { return spans_; }
-  bool empty() const noexcept { return spans_.empty(); }
 
  private:
   std::vector<Span> spans_;
@@ -125,9 +124,6 @@ class TraceCollector {
   /// Reset every shard and re-stamp the epoch: one collector can be reused
   /// across train_steps, with each iteration starting a fresh trace.
   void begin_iteration();
-
-  /// True once any rank recorded a span.
-  bool has_spans() const noexcept;
 
  private:
   std::vector<SpanRecorder> spans_;

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <functional>
-#include <sstream>
+#include <string>
 #include <thread>
 #include <tuple>
 
@@ -47,6 +47,18 @@ std::int64_t bytes_of(const std::pair<Tensor, Tensor>& p) noexcept {
   return bytes_of(p.first) + bytes_of(p.second);
 }
 
+// Container keys, for error messages.
+std::string describe(const std::tuple<DataSlot, int, int>& k) {
+  return " " + std::to_string(static_cast<int>(std::get<0>(k))) +
+         " mb=" + std::to_string(std::get<1>(k)) +
+         " layer=" + std::to_string(std::get<2>(k));
+}
+std::string describe(int mb) { return " mb=" + std::to_string(mb); }
+template <class Key>
+std::string describe(const Key& k) {
+  return " mb=" + std::to_string(k.mb) + " layer=" + std::to_string(k.layer);
+}
+
 }  // namespace
 
 Interpreter::Interpreter(const core::CompiledSchedule& schedule, int rank,
@@ -76,7 +88,8 @@ typename Map::mapped_type Interpreter::take(Map& map,
                                             const char* what) {
   const auto it = map.find(key);
   if (it == map.end()) {
-    throw std::logic_error("rank " + std::to_string(rank_) + ": missing " + what);
+    throw std::logic_error("rank " + std::to_string(rank_) + ": missing " + what +
+                           describe(key));
   }
   typename Map::mapped_type value = std::move(it->second);
   map.erase(it);
@@ -86,21 +99,14 @@ typename Map::mapped_type Interpreter::take(Map& map,
 
 comm::Message Interpreter::take_slot(DataSlot slot, int mb, int layer) {
   const auto key = std::make_tuple(slot, mb, layer);
-  if (slots_.find(key) == slots_.end()) {
-    // Async engine: the value may still be in flight as a prefetched recv —
-    // drain the handle here, at actual consumption, so any residual block
-    // lands on the consuming op (recv_wait_exposed_ns) instead of at the
-    // Recv's program position.
-    const auto hit = recv_handles_.find(key);
-    if (hit != recv_handles_.end()) {
-      comm::RecvHandle handle = std::move(hit->second);
-      recv_handles_.erase(hit);
-      return handle.wait();
-    }
-    std::ostringstream os;
-    os << "rank " << rank_ << ": missing value slot " << static_cast<int>(slot)
-       << " mb=" << mb << " layer=" << layer;
-    throw std::logic_error(os.str());
+  // Async engine: a received value may still be in flight as a prefetched
+  // recv — drain the handle here, at actual consumption, so any residual
+  // block lands on the consuming op (recv_wait_exposed_ns) instead of at the
+  // Recv's program position.
+  if (const auto hit = recv_handles_.find(key); hit != recv_handles_.end()) {
+    comm::RecvHandle handle = std::move(hit->second);
+    recv_handles_.erase(hit);
+    return handle.wait();
   }
   return take(slots_, key, "value slot");
 }

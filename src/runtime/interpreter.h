@@ -143,7 +143,7 @@ class Interpreter {
   /// The program was generated with recomputation without attention: it has
   /// RecomputePre/RecomputePost ops, so forward keeps only the minimal
   /// stashes and those ops restore the intermediates.
-  bool recompute_ = false;
+  bool recompute_;
   /// Bytes held in value slots and stashes (live activations).
   std::int64_t live_bytes_ = 0;
   std::uint64_t tid_ = 0;  ///< hash of the rank thread's id, for spans

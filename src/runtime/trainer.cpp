@@ -189,6 +189,13 @@ Trainer::Trainer(nn::ModelParams& params, TrainerOptions options)
       sched_(build_numeric_schedule(params.cfg, options)),
       compiled_(core::CompiledSchedule::build(sched_)),
       adam_states_(static_cast<std::size_t>(sched_.num_stages)) {
+  // The schedule builders above already reject non-positive layers, micro
+  // batches and stages, naming them.
+  nn::validate(params.cfg);
+  if (opt_.mlp_chunks < 1) {
+    throw std::invalid_argument("TrainerOptions::mlp_chunks = " +
+                                std::to_string(opt_.mlp_chunks) + " must be >= 1");
+  }
   if (params.cfg.layers % sched_.num_stages != 0) {
     throw std::invalid_argument("layers must divide evenly across stages");
   }

@@ -14,6 +14,7 @@
 #include "obs/export.h"
 #include "obs/recorder.h"
 #include "runtime/trainer.h"
+#include "support/chrome_trace_parser.h"
 
 namespace helix {
 namespace {

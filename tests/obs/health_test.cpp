@@ -9,6 +9,7 @@
 #include "comm/world.h"
 #include "obs/export.h"
 #include "obs/health.h"
+#include "support/chrome_trace_parser.h"
 #include "tensor/ops.h"
 
 namespace helix::obs {

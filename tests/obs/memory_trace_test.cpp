@@ -21,6 +21,7 @@
 #include "obs/memory.h"
 #include "runtime/trainer.h"
 #include "sim/simulator.h"
+#include "support/chrome_trace_parser.h"
 
 namespace helix::runtime {
 namespace {

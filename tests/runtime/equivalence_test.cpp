@@ -91,6 +91,81 @@ TEST(Trainer, RejectsIndivisibleShapes) {
                std::invalid_argument);
 }
 
+/// The message of the std::invalid_argument `f` throws ("" if none).
+template <class F>
+std::string invalid_argument_of(F f) {
+  try {
+    f();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+struct BadConfig {
+  const char* name;
+  void (*spoil)(nn::MiniGptConfig&);
+  const char* init_names;     ///< ModelParams::init's error must contain this
+  const char* trainer_names;  ///< and the Trainer's, for a config spoiled later
+};
+
+void PrintTo(const BadConfig& c, std::ostream* os) { *os << c.name; }
+
+class RejectsBadConfig : public ::testing::TestWithParam<BadConfig> {};
+
+TEST_P(RejectsBadConfig, NamingTheField) {
+  const BadConfig& c = GetParam();
+  nn::MiniGptConfig cfg = test_config(4, 4);
+  c.spoil(cfg);
+  const std::string init_error =
+      invalid_argument_of([&] { (void)nn::ModelParams::init(cfg, 1); });
+  EXPECT_NE(init_error.find(c.init_names), std::string::npos) << init_error;
+  // A config changed after init reaches the Trainer unchecked by init.
+  nn::ModelParams params = nn::ModelParams::init(test_config(4, 4), 1);
+  c.spoil(params.cfg);
+  const std::string trainer_error = invalid_argument_of([&] {
+    Trainer(params, {.family = ScheduleFamily::kHelixTwoFold, .pipeline_stages = 2});
+  });
+  EXPECT_NE(trainer_error.find(c.trainer_names), std::string::npos)
+      << trainer_error;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fields, RejectsBadConfig,
+    ::testing::Values(
+        // The schedule builders name layers and micro batches for the Trainer.
+        BadConfig{"layers", [](nn::MiniGptConfig& c) { c.layers = 0; },
+                  "MiniGptConfig::layers", "layers L=0"},
+        BadConfig{"hidden", [](nn::MiniGptConfig& c) { c.hidden = 0; },
+                  "MiniGptConfig::hidden", "MiniGptConfig::hidden"},
+        BadConfig{"heads_zero", [](nn::MiniGptConfig& c) { c.heads = 0; },
+                  "MiniGptConfig::heads", "MiniGptConfig::heads"},
+        BadConfig{"heads_negative", [](nn::MiniGptConfig& c) { c.heads = -1; },
+                  "MiniGptConfig::heads", "MiniGptConfig::heads"},
+        BadConfig{"heads_not_dividing_hidden",
+                  [](nn::MiniGptConfig& c) { c.heads = 3; },
+                  "must divide MiniGptConfig::hidden", "must divide MiniGptConfig::hidden"},
+        BadConfig{"seq", [](nn::MiniGptConfig& c) { c.seq = 0; },
+                  "MiniGptConfig::seq", "MiniGptConfig::seq"},
+        BadConfig{"batch", [](nn::MiniGptConfig& c) { c.batch = 0; },
+                  "MiniGptConfig::batch", "MiniGptConfig::batch"},
+        BadConfig{"vocab", [](nn::MiniGptConfig& c) { c.vocab = 0; },
+                  "MiniGptConfig::vocab", "MiniGptConfig::vocab"},
+        BadConfig{"micro_batches",
+                  [](nn::MiniGptConfig& c) { c.micro_batches = 0; },
+                  "MiniGptConfig::micro_batches", "micro batches m=0"}),
+    [](const auto& info) { return std::string(info.param.name); });
+
+TEST(Trainer, RejectsZeroMlpChunksByName) {
+  nn::ModelParams params = nn::ModelParams::init(test_config(4, 4), 1);
+  const std::string error = invalid_argument_of([&] {
+    Trainer(params, {.family = ScheduleFamily::kHelixTwoFold,
+                     .pipeline_stages = 2,
+                     .mlp_chunks = 0});
+  });
+  EXPECT_NE(error.find("TrainerOptions::mlp_chunks"), std::string::npos) << error;
+}
+
 TEST(Trainer, RecomputeRejectedForLayerwise) {
   const nn::MiniGptConfig cfg = test_config(4, 4);
   nn::ModelParams params = nn::ModelParams::init(cfg, 1);

@@ -18,6 +18,7 @@
 #include "obs/export.h"
 #include "runtime/trainer.h"
 #include "sim/simulator.h"
+#include "support/chrome_trace_parser.h"
 
 namespace helix::runtime {
 namespace {

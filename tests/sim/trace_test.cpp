@@ -11,6 +11,7 @@
 #include "obs/export.h"
 #include "sim/simulator.h"
 #include "sim/trace.h"
+#include "support/chrome_trace_parser.h"
 
 namespace helix::sim {
 namespace {

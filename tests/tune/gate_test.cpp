@@ -7,6 +7,7 @@
 #include <random>
 
 #include "core/cost.h"
+#include "core/filo.h"
 #include "schedules/registry.h"
 #include "tune/gate.h"
 #include "tune/mutate.h"
@@ -99,6 +100,27 @@ TEST(Gate, MutatedLayerwiseSchedulePassesUnderAdam) {
   cfg.pipeline_stages = pr.p;
   cfg.adam = true;
   const tune::GateResult res = tune::differential_gate(sched, cfg);
+  EXPECT_TRUE(res.ok()) << (res.errors.empty() ? "" : res.errors.front());
+}
+
+TEST(Gate, ReadsRecomputationOffTheSchedule) {
+  // The toggle regenerates helix_naive with recomputation without attention.
+  // The gate config has no recompute flag: the interpreter must find the
+  // RecomputePre/RecomputePost ops, or its stash bookkeeping throws.
+  const core::PipelineProblem pr = make_problem(2, 4, 4);
+  tune::Genome g;
+  g.prov.problem = pr;
+  g.prov.family = "helix_naive";
+  g.table = tune::Table::lift(core::build_helix_schedule(
+      pr, {.two_fold = false, .recompute_without_attention = false}));
+  std::mt19937_64 rng(3);
+  ASSERT_TRUE(tune::apply_mutation(g, tune::MutationKind::kToggleRecompute, rng,
+                                   unit_cost(), tune::MutationOptions{}));
+  ASSERT_TRUE(g.prov.recompute);
+  tune::GateConfig cfg;
+  cfg.model = tiny_model(pr.m, pr.L);
+  cfg.pipeline_stages = pr.p;
+  const tune::GateResult res = tune::differential_gate(g.table.lower(), cfg);
   EXPECT_TRUE(res.ok()) << (res.errors.empty() ? "" : res.errors.front());
 }
 
