@@ -77,7 +77,8 @@ void Interpreter::put(Map& map, const typename Map::key_type& key,
                       typename Map::mapped_type value, const char* what) {
   const std::int64_t bytes = bytes_of(value);
   if (!map.emplace(key, std::move(value)).second) {
-    throw std::logic_error(std::string(what) + " written twice");
+    throw std::logic_error("rank " + std::to_string(rank_) + ": " + what +
+                           describe(key) + " written twice");
   }
   live_bytes_ += bytes;
 }

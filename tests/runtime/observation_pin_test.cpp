@@ -10,8 +10,10 @@
 //     the same rings from other threads, so their interleaving is not
 //     deterministic and they are left out;
 //   * summary: each rank's op count, bytes sent and received and live peak.
-// The expected values were captured from the previous observation path, so
-// moving a hash means a changed observation, not only a changed layout.
+// The expected values were captured from the previous observation path
+// (for helix_two_fold_rc, with the fix that stops the last layer's
+// RecomputePost from stashing an input nothing consumes), so moving a hash
+// means a changed observation, not only a changed layout.
 // Expectations are keyed by the engine that actually ran: HELIX_COMM_ASYNC
 // forces the async engine on every case.
 #include <gtest/gtest.h>
