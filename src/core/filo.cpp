@@ -12,24 +12,7 @@ namespace helix::core {
 
 namespace {
 
-/// A value produced on one stage and consumed on (possibly) another: either
-/// a local op id or a pending transfer whose Recv the consumer posts
-/// just-in-time at its own program position (posting early would head-of-
-/// line-block later sends on the consumer's comm stream).
-struct Handoff {
-  OpId local = kNoOp;
-  ScheduleBuilder::PendingTransfer xfer;
-  bool is_xfer = false;
-
-  static Handoff of(OpId id) { return {.local = id, .xfer = {}, .is_xfer = false}; }
-  static Handoff of(ScheduleBuilder::PendingTransfer t) {
-    return {.local = kNoOp, .xfer = t, .is_xfer = true};
-  }
-  /// Post the Recv (if remote) and return the op id to depend on.
-  OpId consume(ScheduleBuilder& b) const {
-    return is_xfer ? b.add_recv(xfer) : local;
-  }
-};
+using Handoff = ScheduleBuilder::Handoff;
 
 /// Per-micro-batch handoffs threaded through the data flow.
 struct FlowState {

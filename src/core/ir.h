@@ -170,6 +170,25 @@ class ScheduleBuilder {
                            DataSlot slot = DataSlot::kNone);
   OpId add_recv(const PendingTransfer& t);
 
+  /// A value produced on one stage and consumed on (possibly) another:
+  /// either a local op id or a pending transfer whose Recv the consumer
+  /// posts just-in-time at its own program position (posting early would
+  /// head-of-line-block later sends on the consumer's comm stream).
+  struct Handoff {
+    OpId local = kNoOp;
+    PendingTransfer xfer;
+    bool is_xfer = false;
+
+    static Handoff of(OpId id) { return {.local = id, .xfer = {}, .is_xfer = false}; }
+    static Handoff of(PendingTransfer t) {
+      return {.local = kNoOp, .xfer = t, .is_xfer = true};
+    }
+    /// Post the Recv (if remote) and return the op id to depend on.
+    OpId consume(ScheduleBuilder& b) const {
+      return is_xfer ? b.add_recv(xfer) : local;
+    }
+  };
+
   /// Append the end-of-iteration OptimStep on `stage`, depending on every
   /// gradient-producing op already emitted there (backward-B/-W, LmHeadLoss,
   /// EmbedBwd). The explicit deps make the dependency graph self-describing:

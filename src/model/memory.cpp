@@ -34,11 +34,10 @@ i64 zb2p_stage_activation_bytes(const LayerDims& d, const PipelineShape& ps, DTy
 }
 
 i64 coexec_stage_activation_bytes(const LayerDims& d, const PipelineShape& ps,
-                                  int stage, int lag, DType dt) {
+                                  int stage, DType dt) {
   check_shape(ps);
   if (stage < 0 || stage >= ps.p) throw std::invalid_argument("bad stage");
-  if (lag < 1) throw std::invalid_argument("bad lag");
-  const i64 outstanding = std::min<i64>(ps.p - stage + lag, ps.m);
+  const i64 outstanding = std::min<i64>(ps.p - stage + 1, ps.m);
   return 16 * d.bsh() * outstanding * (ps.L / ps.p) * dtype_bytes(dt);
 }
 

@@ -30,12 +30,11 @@ i64 zb1p_stage_activation_bytes(const LayerDims& d, const PipelineShape& ps,
 i64 zb2p_stage_activation_bytes(const LayerDims& d, const PipelineShape& ps,
                                 DType dt = DType::kFP16);
 
-/// Micro-batch co-execution: the 1F1B forward footprint plus up to `lag`
-/// micro batches whose backward-W is deferred into the next gradient wait:
-/// 16bsh * min(p-stage + lag, m) * L/p.
+/// Micro-batch co-execution: the 1F1B forward footprint plus the one micro
+/// batch whose backward-W is deferred into the next gradient wait:
+/// 16bsh * min(p-stage + 1, m) * L/p.
 i64 coexec_stage_activation_bytes(const LayerDims& d, const PipelineShape& ps,
-                                  int stage, int lag,
-                                  DType dt = DType::kFP16);
+                                  int stage, DType dt = DType::kFP16);
 
 /// Table 2 — HelixPipe activation bytes per stage: 4bsh * m * L/p with the
 /// recomputation-without-attention strategy, 16bsh * m * L/p without it.

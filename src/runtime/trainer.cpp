@@ -157,7 +157,7 @@ std::vector<std::int64_t> predict_stage_peak_bytes(const nn::MiniGptConfig& cfg,
         outstanding_layers = std::min<std::int64_t>(2 * p, m) * lps;
         break;
       case ScheduleFamily::kCoExec:
-        act = model::coexec_stage_activation_bytes(d, ps, i, 1, dt);
+        act = model::coexec_stage_activation_bytes(d, ps, i, dt);
         outstanding_layers = std::min<std::int64_t>(p - i + 1, m) * lps;
         break;
       case ScheduleFamily::kGPipe:

@@ -117,14 +117,8 @@ AdaPipeResult plan_adapipe(const PipelineProblem& pr, const core::CostModel& cos
 
   // 1F1B micro batch order on the chosen partition.
   for (int i = 0; i < p; ++i) {
-    const int warmup = std::min(p - 1 - i, m);
-    auto& s = res.plan.steps[static_cast<std::size_t>(i)];
-    for (int j = 0; j < warmup; ++j) s.push_back({StepKind::kForward, j});
-    for (int j = 0; j < m - warmup; ++j) {
-      s.push_back({StepKind::kForward, warmup + j});
-      s.push_back({StepKind::kBackward, j});
-    }
-    for (int j = m - warmup; j < m; ++j) s.push_back({StepKind::kBackward, j});
+    res.plan.steps[static_cast<std::size_t>(i)] =
+        one_f_one_b_order(m, std::min(p - 1 - i, m));
   }
   return res;
 }

@@ -1,7 +1,6 @@
 #include "schedules/coexec.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "core/problem_check.h"
 #include "obs/prof.h"
@@ -10,58 +9,40 @@ namespace helix::schedules {
 
 using core::PipelineProblem;
 
-LayerwisePlan plan_coexec(const PipelineProblem& pr,
-                          const CoexecOptions& opt) {
+LayerwisePlan plan_coexec(const PipelineProblem& pr) {
   core::validate_problem(pr, core::layerwise_requirements("CoExec"));
-  if (opt.lag < 1) {
-    throw std::invalid_argument("CoexecOptions::lag must be >= 1");
-  }
   const int p = pr.p;
   const int m = pr.m;
-  const int lag = std::min(opt.lag, m);
 
-  LayerwisePlan plan;
-  plan.name = "CoExec";
-  plan.layers_per_stage = uniform_partition(pr.L, pr.p);
-  plan.recompute_layers.assign(p, 0);
+  LayerwisePlan plan = uniform_plan("CoExec", pr);
   plan.decouple_w = true;
-  plan.steps.resize(p);
   for (int i = 0; i < p; ++i) {
+    // The last stage produces its own gradients (loss), so its backward-B
+    // never waits on a transfer and there is no gap for a sibling W to ride
+    // in; injecting one would only delay the gradient sends the whole
+    // downstream ladder feeds on. It keeps plain 1F1B order and drains its
+    // W's at the end of the iteration. Every other stage co-executes
+    // adjacent micro batches: micro batch j - 1's backward-W is slotted
+    // right before backward-B of j — exactly where 1F1B blocks on the
+    // incoming gradient.
+    const bool last = i == p - 1;
     auto& s = plan.steps[i];
-    const int warmup = std::min(p - 1 - i, m);
-    if (i == p - 1) {
-      // The last stage produces its own gradients (loss), so its backward-B
-      // never waits on a transfer and there is no gap for a sibling W to
-      // ride in; injecting one would only delay the gradient sends the
-      // whole downstream ladder feeds on. Plain 1F1B order, W's drained at
-      // the end of the iteration.
-      for (int j = 0; j < m; ++j) {
-        s.push_back({StepKind::kForward, j});
-        s.push_back({StepKind::kBackward, j});
+    for (const MacroStep& st : one_f_one_b_order(m, std::min(p - 1 - i, m))) {
+      if (!last && st.kind == StepKind::kBackward && st.mb > 0) {
+        s.push_back({StepKind::kBackwardW, st.mb - 1});
       }
-      for (int j = 0; j < m; ++j) s.push_back({StepKind::kBackwardW, j});
-      continue;
+      s.push_back(st);
     }
-    // Every other stage co-executes adjacent micro batches: the 1F1B
-    // skeleton (warmup ramp, F/B alternation, drain) is unchanged, and
-    // micro batch j - lag's backward-W is slotted right before backward-B
-    // of j — exactly where 1F1B blocks on the incoming gradient.
-    for (int j = 0; j < warmup; ++j) s.push_back({StepKind::kForward, j});
-    int fnext = warmup, wnext = 0;
-    for (int j = 0; j < m; ++j) {
-      if (fnext < m) s.push_back({StepKind::kForward, fnext++});
-      if (j >= lag) s.push_back({StepKind::kBackwardW, wnext++});
-      s.push_back({StepKind::kBackward, j});
+    for (int j = last ? 0 : m - 1; j < m; ++j) {
+      s.push_back({StepKind::kBackwardW, j});
     }
-    while (wnext < m) s.push_back({StepKind::kBackwardW, wnext++});
   }
   return plan;
 }
 
-core::Schedule build_coexec(const PipelineProblem& pr,
-                            const CoexecOptions& opt) {
+core::Schedule build_coexec(const PipelineProblem& pr) {
   HELIX_PROF_SCOPE("build.coexec");
-  return emit_layerwise(pr, plan_coexec(pr, opt));
+  return emit_layerwise(pr, plan_coexec(pr));
 }
 
 }  // namespace helix::schedules

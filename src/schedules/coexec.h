@@ -6,12 +6,12 @@
 // LLM Training via Micro-batch Co-execution", see PAPERS.md): each rank
 // statically interleaves the ops of two adjacent micro batches so that one
 // micro batch's boundary transfer rides under the other's compute. The
-// backward pass is decoupled (as in ZB1P) and micro batch j - lag's
+// backward pass is decoupled (as in ZB1P) and micro batch j - 1's
 // backward-W — compute with no incoming dependency — is placed exactly
 // where the 1F1B steady state blocks on micro batch j's incoming gradient:
 //
 //   1F1B   :  F(j+w)  .........wait......... B(j)
-//   CoExec :  F(j+w)  W(j-lag)  ..wait..     B(j)
+//   CoExec :  F(j+w)  W(j-1)  ..wait..       B(j)
 //
 // The 1F1B skeleton (warmup depth, F/B alternation, memory footprint up to
 // the deferred W stashes) is unchanged, and unlike ZB1P's greedy filler the
@@ -22,18 +22,8 @@
 // on a transfer) and drains all W's at the end of the iteration.
 namespace helix::schedules {
 
-struct CoexecOptions {
-  /// Distance between the co-executed micro batches: backward-W of micro
-  /// batch j - lag runs in micro batch j's gradient wait. 1 pairs adjacent
-  /// micro batches (the paper's co-execution); larger values spread the
-  /// deferred-W window, holding up to `lag` W stashes live per stage.
-  int lag = 1;
-};
+LayerwisePlan plan_coexec(const core::PipelineProblem& problem);
 
-LayerwisePlan plan_coexec(const core::PipelineProblem& problem,
-                          const CoexecOptions& options = {});
-
-core::Schedule build_coexec(const core::PipelineProblem& problem,
-                            const CoexecOptions& options = {});
+core::Schedule build_coexec(const core::PipelineProblem& problem);
 
 }  // namespace helix::schedules

@@ -1,204 +1,47 @@
 #include "schedules/interleaved.h"
 
+#include <algorithm>
 #include <stdexcept>
-#include <vector>
+#include <string>
 
 #include "core/problem_check.h"
 #include "obs/prof.h"
 
 namespace helix::schedules {
 
-using core::DataSlot;
-using core::kNoOp;
-using core::OpId;
-using core::OpKind;
 using core::PipelineProblem;
-using core::Schedule;
-using core::ScheduleBuilder;
 
-namespace {
-
-struct VStep {
-  bool forward;
-  int chunk;  ///< global chunk id in [0, p*v)
-  int mb;
-};
-
-/// Megatron's virtual-step enumeration: within each group of p micro
-/// batches, sweep the stage's chunks in order (forward) or reverse
-/// (backward).
-VStep vstep(int k, int p, int v, int stage, bool forward) {
-  const int group = k / (p * v);
-  const int rem = k % (p * v);
-  const int local_chunk = forward ? rem / p : v - 1 - rem / p;
-  return {forward, local_chunk * p + stage, group * p + rem % p};
-}
-
-struct Emitter {
-  const PipelineProblem& pr;
-  int p, v, layers_per_chunk;
-  ScheduleBuilder& b;
-  // Pending transfers into each (chunk, mb); kNoOp-guarded local producer
-  // ids when consecutive chunks share a stage (p == 1).
-  std::vector<std::vector<ScheduleBuilder::PendingTransfer>> fwd_in, bwd_in;
-  std::vector<std::vector<OpId>> fwd_in_local, bwd_in_local;
-  std::vector<std::vector<OpId>> fwd_out;
-
-  Emitter(const PipelineProblem& pr_, int v_, ScheduleBuilder& b_)
-      : pr(pr_), p(pr_.p), v(v_), layers_per_chunk(pr_.L / (pr_.p * v_)), b(b_) {
-    const std::size_t chunks = static_cast<std::size_t>(p) * static_cast<std::size_t>(v);
-    fwd_in.assign(chunks, std::vector<ScheduleBuilder::PendingTransfer>(pr.m));
-    bwd_in.assign(chunks, std::vector<ScheduleBuilder::PendingTransfer>(pr.m));
-    fwd_in_local.assign(chunks, std::vector<OpId>(pr.m, kNoOp));
-    bwd_in_local.assign(chunks, std::vector<OpId>(pr.m, kNoOp));
-    fwd_out.assign(chunks, std::vector<OpId>(pr.m, kNoOp));
-  }
-
-  int first_layer(int chunk) const { return chunk * layers_per_chunk; }
-  int stage_of(int chunk) const { return chunk % p; }
-
-  void forward(int chunk, int mb) {
-    const int i = stage_of(chunk);
-    OpId prev;
-    if (chunk == 0) {
-      prev = b.add(OpKind::kEmbedFwd, i, mb, 0);
-    } else if (const OpId local =
-                   fwd_in_local[static_cast<std::size_t>(chunk)][static_cast<std::size_t>(mb)];
-               local != kNoOp) {
-      prev = local;  // same-stage chunk boundary (p == 1)
-    } else {
-      prev = b.add_recv(fwd_in[static_cast<std::size_t>(chunk)][static_cast<std::size_t>(mb)]);
-    }
-    for (int l = first_layer(chunk); l < first_layer(chunk) + layers_per_chunk; ++l) {
-      b.add(OpKind::kFwdPre, i, mb, l, prev == kNoOp ? std::vector<OpId>{}
-                                                     : std::vector<OpId>{prev});
-      b.with_memory(pr.act.pre, 0);
-      b.add(OpKind::kFwdAttn, i, mb, l);
-      b.with_memory(pr.act.attn, 0);
-      prev = b.add(OpKind::kFwdPost, i, mb, l);
-      b.with_memory(pr.act.post, 0);
-    }
-    fwd_out[static_cast<std::size_t>(chunk)][static_cast<std::size_t>(mb)] = prev;
-    if (chunk + 1 < p * v) {
-      if (stage_of(chunk + 1) == i) {
-        fwd_in_local[static_cast<std::size_t>(chunk + 1)][static_cast<std::size_t>(mb)] = prev;
-      } else {
-        fwd_in[static_cast<std::size_t>(chunk + 1)][static_cast<std::size_t>(mb)] =
-            b.add_send(i, stage_of(chunk + 1), pr.comm.boundary, prev, mb,
-                       first_layer(chunk + 1), DataSlot::kFwdBoundary);
-      }
-    }
-  }
-
-  void backward(int chunk, int mb) {
-    const int i = stage_of(chunk);
-    OpId prev;
-    if (chunk == p * v - 1) {
-      if (pr.include_lm_head) {
-        prev = b.add(OpKind::kLmHeadLoss, i, mb, pr.L - 1,
-                     {fwd_out[static_cast<std::size_t>(chunk)][static_cast<std::size_t>(mb)]});
-        b.with_memory(0, 0, pr.logits_transient_bytes);
-      } else {
-        prev = fwd_out[static_cast<std::size_t>(chunk)][static_cast<std::size_t>(mb)];
-      }
-    } else if (const OpId local =
-                   bwd_in_local[static_cast<std::size_t>(chunk)][static_cast<std::size_t>(mb)];
-               local != kNoOp) {
-      prev = local;
-    } else {
-      prev = b.add_recv(bwd_in[static_cast<std::size_t>(chunk)][static_cast<std::size_t>(mb)]);
-    }
-    for (int l = first_layer(chunk) + layers_per_chunk - 1; l >= first_layer(chunk); --l) {
-      prev = b.add(OpKind::kBwdPost, i, mb, l, {prev});
-      b.with_memory(0, pr.act.post);
-      prev = b.add(OpKind::kBwdAttn, i, mb, l, {prev});
-      b.with_memory(0, pr.act.attn);
-      prev = b.add(OpKind::kBwdPre, i, mb, l, {prev});
-      b.with_memory(0, pr.act.pre);
-    }
-    if (chunk > 0) {
-      if (stage_of(chunk - 1) == i) {
-        bwd_in_local[static_cast<std::size_t>(chunk - 1)][static_cast<std::size_t>(mb)] = prev;
-      } else {
-        bwd_in[static_cast<std::size_t>(chunk - 1)][static_cast<std::size_t>(mb)] =
-            b.add_send(i, stage_of(chunk - 1), pr.comm.boundary, prev, mb,
-                       first_layer(chunk) - 1, DataSlot::kBwdBoundary);
-      }
-    } else {
-      b.add(OpKind::kEmbedBwd, i, mb, 0, {prev});
-    }
-  }
-};
-
-}  // namespace
-
-Schedule build_interleaved_1f1b(const PipelineProblem& pr,
-                                const InterleavedOptions& opt) {
-  HELIX_PROF_SCOPE("build.interleaved");
+LayerwisePlan plan_interleaved(const PipelineProblem& pr,
+                               const InterleavedOptions& opt) {
   const int p = pr.p;
   const int v = opt.virtual_chunks;
   if (v < 1) throw std::invalid_argument("virtual_chunks must be >= 1");
   core::validate_problem(pr, core::interleaved_requirements(v, p));
 
-  // Per-stage virtual-step programs (Megatron's interleaved order).
-  const int total = pr.m * v;  // virtual micro batches per stage
-  std::vector<std::vector<VStep>> steps(static_cast<std::size_t>(p));
+  LayerwisePlan plan = uniform_plan("interleaved-1f1b-v" + std::to_string(v), pr);
+  plan.virtual_chunks = v;
+  // Each stage runs 1F1B over m * v virtual micro batches. Virtual micro
+  // batch k belongs to a group of p micro batches, k / (p * v); within the
+  // group the stage sweeps its chunks in order (forward) or in reverse
+  // (backward), p micro batches per chunk.
+  const int total = pr.m * v;
   for (int i = 0; i < p; ++i) {
-    int warmup = (p - i - 1) * 2 + (v - 1) * p;
-    warmup = std::min(warmup, total);
-    auto& s = steps[static_cast<std::size_t>(i)];
-    for (int k = 0; k < warmup; ++k) s.push_back(vstep(k, p, v, i, true));
-    for (int k = 0; k < total - warmup; ++k) {
-      s.push_back(vstep(warmup + k, p, v, i, true));
-      s.push_back(vstep(k, p, v, i, false));
-    }
-    for (int k = total - warmup; k < total; ++k) {
-      s.push_back(vstep(k, p, v, i, false));
+    const int warmup = std::min((p - i - 1) * 2 + (v - 1) * p, total);
+    plan.steps[i] = one_f_one_b_order(total, warmup);
+    for (MacroStep& st : plan.steps[i]) {
+      const int group = st.mb / (p * v);
+      const int rem = st.mb % (p * v);
+      st.chunk = st.kind == StepKind::kForward ? rem / p : v - 1 - rem / p;
+      st.mb = group * p + rem % p;
     }
   }
+  return plan;
+}
 
-  ScheduleBuilder b("interleaved-1f1b-v" + std::to_string(v), p, pr.m, pr.L);
-  Emitter em(pr, v, b);
-
-  // Data-flow-ordered emission (Recv at the receiver's program position).
-  const std::size_t chunks = static_cast<std::size_t>(p) * static_cast<std::size_t>(v);
-  std::vector<std::vector<bool>> f_done(chunks, std::vector<bool>(pr.m, false));
-  std::vector<std::vector<bool>> b_done(chunks, std::vector<bool>(pr.m, false));
-  std::vector<std::size_t> next(static_cast<std::size_t>(p), 0);
-  std::size_t remaining = 0;
-  for (const auto& s : steps) remaining += s.size();
-  bool progress = true;
-  while (remaining > 0) {
-    if (!progress) throw std::logic_error("interleaved plan has a data-flow cycle");
-    progress = false;
-    for (int i = 0; i < p; ++i) {
-      auto& s = steps[static_cast<std::size_t>(i)];
-      while (next[static_cast<std::size_t>(i)] < s.size()) {
-        const VStep st = s[next[static_cast<std::size_t>(i)]];
-        const std::size_t c = static_cast<std::size_t>(st.chunk);
-        bool ready;
-        if (st.forward) {
-          ready = st.chunk == 0 || f_done[c - 1][static_cast<std::size_t>(st.mb)];
-        } else {
-          ready = f_done[c][static_cast<std::size_t>(st.mb)] &&
-                  (st.chunk == p * v - 1 || b_done[c + 1][static_cast<std::size_t>(st.mb)]);
-        }
-        if (!ready) break;
-        if (st.forward) {
-          em.forward(st.chunk, st.mb);
-          f_done[c][static_cast<std::size_t>(st.mb)] = true;
-        } else {
-          em.backward(st.chunk, st.mb);
-          b_done[c][static_cast<std::size_t>(st.mb)] = true;
-        }
-        ++next[static_cast<std::size_t>(i)];
-        --remaining;
-        progress = true;
-      }
-    }
-  }
-  for (int s = 0; s < p; ++s) b.add_optim_step(s);
-  return std::move(b).finish();
+core::Schedule build_interleaved_1f1b(const PipelineProblem& pr,
+                                      const InterleavedOptions& opt) {
+  HELIX_PROF_SCOPE("build.interleaved");
+  return emit_layerwise(pr, plan_interleaved(pr, opt));
 }
 
 }  // namespace helix::schedules

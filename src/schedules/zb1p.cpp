@@ -22,9 +22,9 @@ struct StageDurations {
   double comm = 0;
 };
 
+/// Macro-step durations of the uniform L/p partition.
 StageDurations stage_durations(const PipelineProblem& pr,
-                               const core::CostModel& cost,
-                               const std::vector<int>& layers_per_stage) {
+                               const core::CostModel& cost) {
   const int p = pr.p;
   StageDurations d;
   d.f.resize(p);
@@ -32,7 +32,7 @@ StageDurations stage_durations(const PipelineProblem& pr,
   d.w.resize(p);
   for (int i = 0; i < p; ++i) {
     StepCostQuery q{.stage = i,
-                    .num_layers = layers_per_stage[static_cast<std::size_t>(i)],
+                    .num_layers = pr.L / p,
                     .recompute_layers = 0,
                     .decouple_w = true,
                     .first_stage = i == 0,
@@ -53,12 +53,8 @@ LayerwisePlan greedy_plan(const PipelineProblem& pr, const StageDurations& d,
                           int cap, const char* name) {
   const int p = pr.p;
   const int m = pr.m;
-  LayerwisePlan plan;
-  plan.name = name;
-  plan.layers_per_stage = uniform_partition(pr.L, pr.p);
-  plan.recompute_layers.assign(p, 0);
+  LayerwisePlan plan = uniform_plan(name, pr);
   plan.decouple_w = true;
-  plan.steps.resize(p);
 
   const double comm = d.comm;
   std::vector<double> now(p, 0.0);          // stage free time
@@ -246,12 +242,19 @@ std::vector<MacroStep> optimal_stage_steps(int m, int cap, double fdur,
   return {rev.rbegin(), rev.rend()};
 }
 
-}  // namespace
+/// Macro-step-granularity timing of a decoupled {F, B, W} plan: the exact
+/// event times the discrete-event simulator would assign to its macro steps
+/// under `d`'s per-stage durations and per-boundary transfer time. This is
+/// the ZB2P refinement loop's makespan oracle (simulating the emitted IR
+/// would price identically but cost ~30x more per evaluation).
+struct PlanTimes {
+  double makespan = 0;
+  /// Per (stage, mb): end time of the forward / backward-B macro step.
+  std::vector<std::vector<double>> fend, bend;
+};
 
-PlanTimes simulate_plan(const LayerwisePlan& plan,
-                        const std::vector<double>& fdur,
-                        const std::vector<double>& bdur,
-                        const std::vector<double>& wdur, double comm) {
+/// Throws std::logic_error when the plan deadlocks (dataflow_order).
+PlanTimes simulate_plan(const LayerwisePlan& plan, const StageDurations& d) {
   const int p = static_cast<int>(plan.steps.size());
   int m = 0;
   for (const auto& steps : plan.steps) {
@@ -260,68 +263,43 @@ PlanTimes simulate_plan(const LayerwisePlan& plan,
   PlanTimes t;
   t.fend.assign(p, std::vector<double>(m, kInf));
   t.bend.assign(p, std::vector<double>(m, kInf));
-  std::vector<std::size_t> next(static_cast<std::size_t>(p), 0);
   std::vector<double> now(static_cast<std::size_t>(p), 0.0);
-  bool progress = true;
-  std::size_t remaining = 0;
-  for (const auto& steps : plan.steps) remaining += steps.size();
-  while (remaining > 0) {
-    if (!progress) {
-      throw std::logic_error("plan has a data-flow cycle (simulate_plan)");
-    }
-    progress = false;
-    for (int i = 0; i < p; ++i) {
-      while (next[i] < plan.steps[i].size()) {
-        const MacroStep st = plan.steps[i][next[i]];
-        double avail = 0.0;  // the switch covers every StepKind; the
-                             // initializer only placates -Wmaybe-uninitialized
-        switch (st.kind) {
-          case StepKind::kForward:
-            avail = i == 0 ? 0.0 : t.fend[i - 1][st.mb] + comm;
-            break;
-          case StepKind::kBackward: {
-            const double own = t.fend[i][st.mb];
-            const double grad = i == p - 1 ? own : t.bend[i + 1][st.mb] + comm;
-            avail = std::max(own, grad);
-            break;
-          }
-          case StepKind::kBackwardW:
-            avail = t.bend[i][st.mb];
-            break;
-        }
-        if (avail == kInf) break;  // producer not yet timed
-        const double start = std::max(now[i], avail);
-        switch (st.kind) {
-          case StepKind::kForward:
-            now[i] = start + fdur[i];
-            t.fend[i][st.mb] = now[i];
-            break;
-          case StepKind::kBackward:
-            now[i] = start + bdur[i];
-            t.bend[i][st.mb] = now[i];
-            break;
-          case StepKind::kBackwardW:
-            now[i] = start + wdur[i];
-            break;
-        }
-        ++next[i];
-        --remaining;
-        progress = true;
+  // Every producer is timed before its consumer, so each step starts when
+  // both its stage and its input are free.
+  for (const PlacedStep& ps : dataflow_order(plan, m)) {
+    const int i = ps.stage;
+    const int mb = ps.step.mb;
+    switch (ps.step.kind) {
+      case StepKind::kForward: {
+        const double avail = i == 0 ? 0.0 : t.fend[i - 1][mb] + d.comm;
+        now[i] = std::max(now[i], avail) + d.f[i];
+        t.fend[i][mb] = now[i];
+        break;
       }
+      case StepKind::kBackward: {
+        const double own = t.fend[i][mb];
+        const double grad = i == p - 1 ? own : t.bend[i + 1][mb] + d.comm;
+        now[i] = std::max(now[i], std::max(own, grad)) + d.b[i];
+        t.bend[i][mb] = now[i];
+        break;
+      }
+      case StepKind::kBackwardW:
+        now[i] = std::max(now[i], t.bend[i][mb]) + d.w[i];
+        break;
     }
   }
   for (const double n : now) t.makespan = std::max(t.makespan, n);
   return t;
 }
 
+}  // namespace
+
 LayerwisePlan plan_zb1p(const PipelineProblem& pr, const core::CostModel& cost,
                         const Zb1pOptions& opt) {
-  if (opt.optimal_w) return plan_zb2p(pr, cost, opt);
   core::validate_problem(pr, core::layerwise_requirements("ZB1P"));
   const int cap = opt.max_outstanding > 0 ? opt.max_outstanding
                                           : std::min(pr.p, pr.m);
-  const StageDurations d =
-      stage_durations(pr, cost, uniform_partition(pr.L, pr.p));
+  const StageDurations d = stage_durations(pr, cost);
   return greedy_plan(pr, d, cap, "ZB1P");
 }
 
@@ -332,8 +310,7 @@ LayerwisePlan plan_zb2p(const PipelineProblem& pr, const core::CostModel& cost,
   const int m = pr.m;
   const int cap = opt.max_outstanding > 0 ? opt.max_outstanding
                                           : std::min(2 * p, m);
-  const StageDurations d =
-      stage_durations(pr, cost, uniform_partition(pr.L, pr.p));
+  const StageDurations d = stage_durations(pr, cost);
 
   // Seed with the greedy event-driven constructor at the ZB2P cap, then
   // re-optimize one stage at a time with the exact interleaving DP until no
@@ -341,7 +318,7 @@ LayerwisePlan plan_zb2p(const PipelineProblem& pr, const core::CostModel& cost,
   // accepted move strictly lowers the makespan, so termination is
   // guaranteed — the sweep bound is a safety net, not a tuning knob).
   LayerwisePlan plan = greedy_plan(pr, d, cap, "ZB2P");
-  PlanTimes times = simulate_plan(plan, d.f, d.b, d.w, d.comm);
+  PlanTimes times = simulate_plan(plan, d);
   for (int sweep = 0; sweep < 4 * p; ++sweep) {
     bool improved = false;
     for (int i = p - 1; i >= 0; --i) {
@@ -358,10 +335,11 @@ LayerwisePlan plan_zb2p(const PipelineProblem& pr, const core::CostModel& cost,
       // The DP prices arrivals as fixed, but moving this stage's sends can
       // invert the cross-stage wait order and deadlock the trial plan
       // (stage i holds B(a) for F(b) while stage i+1 holds B(a)'s input
-      // behind F(b)'s). Such a trial is simply not an improvement.
+      // behind F(b)'s). dataflow_order rejects such a trial with a
+      // logic_error; it is simply not an improvement.
       PlanTimes tt;
       try {
-        tt = simulate_plan(trial, d.f, d.b, d.w, d.comm);
+        tt = simulate_plan(trial, d);
       } catch (const std::logic_error&) {
         continue;
       }
@@ -378,7 +356,6 @@ LayerwisePlan plan_zb2p(const PipelineProblem& pr, const core::CostModel& cost,
 
 core::Schedule build_zb1p(const PipelineProblem& pr, const core::CostModel& cost,
                           const Zb1pOptions& opt) {
-  if (opt.optimal_w) return build_zb2p(pr, cost, opt);
   HELIX_PROF_SCOPE("build.zb1p");
   return emit_layerwise(pr, plan_zb1p(pr, cost, opt));
 }

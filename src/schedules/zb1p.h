@@ -20,9 +20,11 @@
 //    per-stage dynamic program over (fnext, bnext, wnext) interleaving
 //    states — priced with the same StepCostQuery macro-step durations —
 //    iterated to a fixed point with a macro-step plan simulator as the
-//    makespan oracle. Under unit part costs and free communication the
-//    result meets the closed-form lower bound `model::zb2p_bubble` exactly
-//    (asserted across the shape grid in tests/sim/bubble_formula_test).
+//    makespan oracle. The oracle times the plan's steps in dataflow_order
+//    and rejects a trial plan that order finds deadlocked. Under unit part
+//    costs and free communication the result meets the closed-form lower
+//    bound `model::zb2p_bubble` exactly (asserted across the shape grid in
+//    tests/sim/bubble_formula_test).
 namespace helix::schedules {
 
 struct Zb1pOptions {
@@ -30,17 +32,13 @@ struct Zb1pOptions {
   /// planner default: min(p, m) — the worst-case 1F1B peak (paper Eq. 4) —
   /// for the greedy ZB1P filler, min(2p, m) for ZB2P.
   int max_outstanding = 0;
-  /// Use the exact backward-W placement pass (ZB2P) instead of the greedy
-  /// filler. `build_zb1p` routes to `plan_zb2p` when set.
-  bool optimal_w = false;
 };
 
 LayerwisePlan plan_zb1p(const core::PipelineProblem& problem,
                         const core::CostModel& cost,
                         const Zb1pOptions& options = {});
 
-/// Exact W-placement (ZB2P). Ignores `options.optimal_w` (it is implied);
-/// honours `options.max_outstanding` with a min(2p, m) default.
+/// Exact W-placement (ZB2P), with a min(2p, m) default cap.
 LayerwisePlan plan_zb2p(const core::PipelineProblem& problem,
                         const core::CostModel& cost,
                         const Zb1pOptions& options = {});
@@ -52,21 +50,5 @@ core::Schedule build_zb1p(const core::PipelineProblem& problem,
 core::Schedule build_zb2p(const core::PipelineProblem& problem,
                           const core::CostModel& cost,
                           const Zb1pOptions& options = {});
-
-/// Macro-step-granularity timing of a layerwise {F, B, W} plan: the exact
-/// event times the discrete-event simulator would assign to a decoupled
-/// plan's macro steps under `fdur`/`bdur`/`wdur` per-stage durations and a
-/// per-boundary transfer time. This is the ZB2P refinement loop's makespan
-/// oracle (simulating the emitted IR would price identically but cost ~30x
-/// more per evaluation); exposed for tests.
-struct PlanTimes {
-  double makespan = 0;
-  /// Per (stage, mb): end time of the forward / backward-B macro step.
-  std::vector<std::vector<double>> fend, bend;
-};
-PlanTimes simulate_plan(const LayerwisePlan& plan,
-                        const std::vector<double>& fdur,
-                        const std::vector<double>& bdur,
-                        const std::vector<double>& wdur, double comm);
 
 }  // namespace helix::schedules

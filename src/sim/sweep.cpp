@@ -197,9 +197,8 @@ std::vector<SweepOutcome> Sweep::run_impl(const std::vector<Item>& items) {
   // Resolve cache hits up front (one lock, no contention in the hot loop);
   // misses are evaluated in parallel and inserted afterwards.
   std::vector<std::int64_t> pending;
-  std::vector<std::string> keys;
-  if (opt_.use_cache) {
-    keys.resize(items.size());
+  std::vector<std::string> keys(items.size());
+  {
     std::lock_guard<std::mutex> lock(mu_);
     for (std::int64_t i = 0; i < n; ++i) {
       keys[static_cast<std::size_t>(i)] =
@@ -212,17 +211,16 @@ std::vector<SweepOutcome> Sweep::run_impl(const std::vector<Item>& items) {
         pending.push_back(i);
       }
     }
-  } else {
-    pending.resize(items.size());
-    for (std::int64_t i = 0; i < n; ++i) pending[static_cast<std::size_t>(i)] = i;
   }
 
-  // Each chunk owns one SimWorkspace, recycled across its slice: the
-  // partition is a fixed function of (count, grain), so reuse is identical
-  // for every thread count.
+  // Each chunk of kGrain items owns one SimWorkspace, recycled across its
+  // slice. The grain is a constant, never derived from the thread count, so
+  // the partition is a fixed function of the item count and the reuse is
+  // identical for every thread count.
+  constexpr std::int64_t kGrain = 4;
   const auto todo = static_cast<std::int64_t>(pending.size());
-  par::parallel_for(todo, opt_.grain, [&](std::int64_t begin, std::int64_t end,
-                                          std::int64_t /*chunk*/) {
+  par::parallel_for(todo, kGrain, [&](std::int64_t begin, std::int64_t end,
+                                      std::int64_t /*chunk*/) {
     SimWorkspace ws;
     for (std::int64_t j = begin; j < end; ++j) {
       const std::int64_t i = pending[static_cast<std::size_t>(j)];
@@ -237,10 +235,8 @@ std::vector<SweepOutcome> Sweep::run_impl(const std::vector<Item>& items) {
     stats_.evaluated += todo;
     for (const std::int64_t i : pending) {
       if (!results[static_cast<std::size_t>(i)].ok) ++stats_.failed;
-      if (opt_.use_cache) {
-        cache_.emplace(std::move(keys[static_cast<std::size_t>(i)]),
-                       results[static_cast<std::size_t>(i)]);
-      }
+      cache_.emplace(std::move(keys[static_cast<std::size_t>(i)]),
+                     results[static_cast<std::size_t>(i)]);
     }
   }
   HELIX_PROF_COUNT("sweep.items", n);

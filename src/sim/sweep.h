@@ -63,22 +63,11 @@ struct SweepStats {
   std::int64_t failed = 0;      ///< items that produced ok == false
 };
 
+/// Outcomes are memoised across run() calls, keyed by memo_key. A hit
+/// returns the bits a fresh evaluation would, so the cache only skips
+/// recomputation; clear_cache() forces re-evaluation.
 class Sweep {
  public:
-  struct Options {
-    /// Memoise (family, problem, cost) -> outcome across run() calls.
-    /// Results are identical either way; the cache only skips recomputation.
-    bool use_cache = true;
-    /// Items per parallel chunk. Fixed (never derived from the thread
-    /// count), so the partition — and with it any per-chunk workspace reuse
-    /// — is deterministic. Each chunk reuses one SimWorkspace across its
-    /// slice.
-    std::int64_t grain = 4;
-  };
-
-  Sweep() = default;
-  explicit Sweep(Options opt) : opt_(opt) {}
-
   /// Evaluate every item; results[i] corresponds to items[i]. Inapplicable
   /// or unknown configurations come back ok == false with the builder's
   /// message — a planner can submit the full grid unfiltered.
@@ -97,7 +86,6 @@ class Sweep {
   template <typename Item>
   std::vector<SweepOutcome> run_impl(const std::vector<Item>& items);
 
-  Options opt_;
   mutable std::mutex mu_;
   std::unordered_map<std::string, SweepOutcome> cache_;  ///< key: memo_key()
   SweepStats stats_;

@@ -72,6 +72,8 @@ INSTANTIATE_TEST_SUITE_P(
         Case{"zb1p_chunked", ScheduleFamily::kZb1p, 2, 4, 4, false, 4},
         Case{"interleaved_p2", ScheduleFamily::kInterleaved, 2, 4, 4, false, 1},
         Case{"interleaved_p2_m8", ScheduleFamily::kInterleaved, 2, 8, 8, false, 1},
+        // p = 1: both chunks on one stage, handed over without a transfer.
+        Case{"interleaved_p1", ScheduleFamily::kInterleaved, 1, 4, 4, false, 1},
         Case{"helix_naive_p2", ScheduleFamily::kHelixNaive, 2, 4, 4, false, 1},
         Case{"helix_naive_p4", ScheduleFamily::kHelixNaive, 4, 8, 4, false, 1},
         Case{"helix_naive_rc", ScheduleFamily::kHelixNaive, 2, 4, 4, true, 1},

@@ -1,11 +1,16 @@
 // Planner-level properties: ZB1P macro-step plans, AdaPipe's adaptive
-// partition / recomputation DP, and macro-step cost pricing.
+// partition / recomputation DP, macro-step cost pricing, and the layer-wise
+// emitter's refusal of plans whose indices it cannot use.
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include "core/cost.h"
 #include "schedules/adapipe.h"
+#include "schedules/interleaved.h"
 #include "schedules/step_cost.h"
 #include "schedules/zb1p.h"
 
@@ -122,6 +127,81 @@ TEST(AdaPipe, BalancesUnevenEndStages) {
   EXPECT_EQ(std::accumulate(res.plan.layers_per_stage.begin(),
                             res.plan.layers_per_stage.end(), 0),
             pr.L);
+}
+
+/// emit_layerwise must refuse `plan` with an invalid_argument whose message
+/// contains every one of `parts`.
+void expect_refused(const core::PipelineProblem& pr, const LayerwisePlan& plan,
+                    std::initializer_list<const char*> parts) {
+  try {
+    emit_layerwise(pr, plan);
+    ADD_FAILURE() << "emit_layerwise accepted the plan";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    for (const char* part : parts) {
+      EXPECT_NE(what.find(part), std::string::npos) << what;
+    }
+  }
+}
+
+TEST(EmitLayerwise, RejectsMicroBatchOutsideRange) {
+  const auto pr = problem(2, 4, 4);
+  LayerwisePlan plan = plan_1f1b(pr);
+  plan.steps[1][3].mb = pr.m;
+  expect_refused(pr, plan, {"'1F1B'", "stage 1, step 3", "micro batch 4"});
+  plan.steps[1][3].mb = -1;
+  expect_refused(pr, plan, {"'1F1B'", "stage 1, step 3", "micro batch -1"});
+}
+
+TEST(EmitLayerwise, RejectsChunkOutsideRange) {
+  const auto pr = problem(2, 4, 8);
+  LayerwisePlan plan = plan_interleaved(pr, {.virtual_chunks = 2});
+  plan.steps[0][2].chunk = 2;
+  expect_refused(pr, plan,
+                 {"'interleaved-1f1b-v2'", "stage 0, step 2", "chunk 2"});
+  plan.steps[0][2].chunk = -1;
+  expect_refused(pr, plan,
+                 {"'interleaved-1f1b-v2'", "stage 0, step 2", "chunk -1"});
+}
+
+TEST(EmitLayerwise, RejectsVirtualChunksBelowOne) {
+  const auto pr = problem(2, 4, 4);
+  LayerwisePlan plan = plan_1f1b(pr);
+  plan.virtual_chunks = 0;
+  expect_refused(pr, plan, {"'1F1B'", "virtual_chunks=0"});
+}
+
+TEST(EmitLayerwise, RejectsRecomputeLayersNotOnePerStage) {
+  const auto pr = problem(2, 4, 4);
+  LayerwisePlan plan = plan_1f1b(pr);
+  plan.recompute_layers = {1};
+  expect_refused(pr, plan, {"'1F1B'", "recompute_layers has 1 entries"});
+}
+
+TEST(EmitLayerwise, RejectsStageLayersNotDivisibleByChunks) {
+  const auto pr = problem(2, 4, 6);
+  LayerwisePlan plan = plan_1f1b(pr);  // 3 layers per stage
+  plan.virtual_chunks = 2;
+  expect_refused(pr, plan, {"'1F1B'", "stage 0 holds 3", "virtual_chunks=2"});
+}
+
+TEST(EmitLayerwise, RejectsADataFlowCycle) {
+  const auto pr = problem(2, 2, 2);
+  LayerwisePlan plan = plan_1f1b(pr);
+  // Stage 0 runs B(0) before its own F(0), and stage 1 waits for that F(0).
+  plan.steps[0] = {{StepKind::kBackward, 0},
+                   {StepKind::kForward, 0},
+                   {StepKind::kForward, 1},
+                   {StepKind::kBackward, 1}};
+  try {
+    emit_layerwise(pr, plan);
+    ADD_FAILURE() << "emit_layerwise accepted a deadlocked plan";
+  } catch (const std::invalid_argument& e) {
+    ADD_FAILURE() << "a cycle is not a bad argument: " << e.what();
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("stage 0, step 0"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(StepCost, PricesMacroSteps) {

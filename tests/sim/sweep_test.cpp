@@ -122,9 +122,10 @@ TEST(Sweep, WarmCacheRerunIsBitIdenticalAndSkipsEvaluation) {
   EXPECT_EQ(sweep.stats().evaluated, evaluated_cold);  // all hits second time
   EXPECT_EQ(sweep.stats().cache_hits, static_cast<std::int64_t>(items.size()));
 
-  // An uncached sweep still produces the same bits, just more slowly.
-  sim::Sweep uncached(sim::Sweep::Options{.use_cache = false});
-  expect_bit_identical(cold, uncached.run(items));
+  // A cleared cache re-evaluates every item and produces the same bits.
+  sweep.clear_cache();
+  expect_bit_identical(cold, sweep.run(items));
+  EXPECT_EQ(sweep.stats().evaluated, 2 * evaluated_cold);
 }
 
 TEST(Sweep, CompiledPathMatchesLegacySimulatorToZeroUlp) {
