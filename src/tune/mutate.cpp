@@ -1,5 +1,6 @@
 #include "tune/mutate.h"
 
+#include <utility>
 #include <vector>
 
 #include "core/filo.h"
@@ -40,6 +41,9 @@ const char* to_string(MutationKind k) noexcept {
 
 namespace {
 
+constexpr int kMaxMove = 8;        ///< farthest a move mutation travels, in slots
+constexpr int kSwapAttempts = 16;  ///< random tries before kSwapAdjacent gives up
+
 int rand_below(std::mt19937_64& rng, int n) {
   return static_cast<int>(rng() % static_cast<std::uint64_t>(n));
 }
@@ -57,8 +61,8 @@ std::vector<CellRef> collect(const Table& t, Pred pred) {
   return out;
 }
 
-bool random_swap(Table& t, std::mt19937_64& rng, int attempts) {
-  for (int i = 0; i < attempts; ++i) {
+bool random_swap(Table& t, std::mt19937_64& rng) {
+  for (int i = 0; i < kSwapAttempts; ++i) {
     const int r = rand_below(rng, t.ranks());
     if (t.slots(r) < 2) continue;
     const int s = rand_below(rng, t.slots(r) - 1);
@@ -67,15 +71,14 @@ bool random_swap(Table& t, std::mt19937_64& rng, int attempts) {
   return false;
 }
 
-/// Move one random cell from `targets` by up to max_move slots in the given
+/// Move one random cell from `targets` by up to kMaxMove slots in the given
 /// direction; applied when it travels at least one slot.
 bool move_random(Table& t, std::mt19937_64& rng,
-                 const std::vector<CellRef>& targets, int max_move,
-                 bool earlier) {
+                 const std::vector<CellRef>& targets, bool earlier) {
   if (targets.empty()) return false;
   const CellRef at = targets[static_cast<std::size_t>(
       rand_below(rng, static_cast<int>(targets.size())))];
-  const int delta = 1 + rand_below(rng, max_move);
+  const int delta = 1 + rand_below(rng, kMaxMove);
   const int to = earlier ? at.slot - delta : at.slot + delta;
   return t.try_move(at.rank, at.slot, to) != at.slot;
 }
@@ -138,11 +141,11 @@ bool rechunk(Genome& g) {
 }  // namespace
 
 bool apply_mutation(Genome& g, MutationKind kind, std::mt19937_64& rng,
-                    const core::CostModel& cost, const MutationOptions& opt) {
+                    const core::CostModel& cost) {
   bool applied = false;
   switch (kind) {
     case MutationKind::kSwapAdjacent:
-      applied = random_swap(g.table, rng, opt.swap_attempts);
+      applied = random_swap(g.table, rng);
       break;
     case MutationKind::kMoveWEarlier:
     case MutationKind::kMoveWLater:
@@ -150,7 +153,7 @@ bool apply_mutation(Genome& g, MutationKind kind, std::mt19937_64& rng,
           g.table, rng,
           collect(g.table,
                   [](const Cell& c) { return c.kind == CellKind::kBackwardW; }),
-          opt.max_move, kind == MutationKind::kMoveWEarlier);
+          kind == MutationKind::kMoveWEarlier);
       break;
     case MutationKind::kHoistRecv:
     case MutationKind::kPushRecv:
@@ -158,7 +161,7 @@ bool apply_mutation(Genome& g, MutationKind kind, std::mt19937_64& rng,
           g.table, rng,
           collect(g.table,
                   [](const Cell& c) { return c.op.kind == OpKind::kRecv; }),
-          opt.max_move, kind == MutationKind::kHoistRecv);
+          kind == MutationKind::kHoistRecv);
       break;
     case MutationKind::kWidenLookahead:
       applied = shift_all_recvs(g.table, /*earlier=*/true);
@@ -192,9 +195,9 @@ bool apply_mutation(Genome& g, MutationKind kind, std::mt19937_64& rng,
           op.deps = orig_deps[static_cast<std::size_t>(op.id)];
         }
       }
-      const Table t = Table::lift(relisted);
+      Table t = Table::lift(relisted);
       applied = t.fingerprint() != g.table.fingerprint();
-      if (applied) g.table = t;
+      if (applied) g.table = std::move(t);
       break;
     }
     case MutationKind::kToggleRecompute:

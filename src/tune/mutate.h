@@ -13,12 +13,16 @@
 //    narrow-lookahead / relist) permute cells within rows through the
 //    table's safe-swap primitive, so they preserve well-formedness by
 //    construction — ops, payloads and dependencies are untouched and the
-//    graph stays acyclic.
+//    graph stays acyclic. Each swap costs a check bounded by the table's
+//    topological index, not a walk of the whole graph, so the lookahead
+//    knobs can shift every Recv cheaply. The mutated table keeps sharing
+//    its parent's constraint graph; relist re-lifts and builds its own.
 //  * Regeneration mutations (toggle-recompute, re-chunk) flip a provenance
 //    knob and rebuild the schedule from its family generator, because they
 //    change the op payload itself (different stash sizes / different op
-//    set). They discard earlier order edits; the search keeps both branches
-//    in its population, so nothing is lost globally.
+//    set). They discard earlier order edits and lift a new graph; the
+//    search keeps both branches in its population, so nothing is lost
+//    globally.
 //
 // Every operator is deterministic given the RNG state; the search layer owns
 // one seeded engine per run.
@@ -40,11 +44,6 @@ inline constexpr int kNumMutationKinds = 10;
 
 const char* to_string(MutationKind k) noexcept;
 
-struct MutationOptions {
-  int max_move = 8;        ///< farthest a move mutation travels, in slots
-  int swap_attempts = 16;  ///< random tries before kSwapAdjacent gives up
-};
-
 /// Where a table came from and which regeneration knobs produced it.
 struct Provenance {
   core::PipelineProblem problem;
@@ -55,7 +54,8 @@ struct Provenance {
 };
 
 /// One search individual: the table plus its provenance and a human-readable
-/// mutation lineage ("helix_naive +relist +swap ...").
+/// mutation lineage ("helix_naive +relist +swap ..."). Copying a genome
+/// copies the table's cells and order but shares its constraint graph.
 struct Genome {
   Table table;
   Provenance prov;
@@ -65,8 +65,10 @@ struct Genome {
 /// Apply `kind` to `g` in place. Returns false when the mutation does not
 /// apply (no W cells to move, non-helix family for toggle-recompute, every
 /// candidate swap refused, ...) — the genome is unchanged in that case.
-/// `cost` prices the relist operator's list scheduling.
+/// `cost` prices the relist operator's list scheduling. A move mutation
+/// travels at most 8 slots, and kSwapAdjacent gives up after 16 refused
+/// random tries.
 bool apply_mutation(Genome& g, MutationKind kind, std::mt19937_64& rng,
-                    const core::CostModel& cost, const MutationOptions& opt);
+                    const core::CostModel& cost);
 
 }  // namespace helix::tune

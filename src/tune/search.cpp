@@ -13,13 +13,31 @@ namespace helix::tune {
 
 namespace {
 
+/// Each child applies 1..this many mutations.
+constexpr int kMaxMutationsPerChild = 2;
+
 /// A beam entrant: genome + its scored outcome.
 struct Scored {
   Genome genome;
   sim::SweepOutcome outcome;
   double score = 0;
-  std::uint64_t fingerprint = 0;
 };
+
+/// Throws std::invalid_argument naming the first out-of-range field.
+void check_options(const TuneOptions& opt) {
+  const auto require = [](bool ok, const char* field, long long v, const char* range) {
+    if (!ok) {
+      throw std::invalid_argument(std::string("tune: TuneOptions::") + field + " = " +
+                                  std::to_string(v) + " must be " + range);
+    }
+  };
+  require(opt.beam_width >= 1, "beam_width", opt.beam_width, ">= 1");
+  require(opt.generations >= 0, "generations", opt.generations, ">= 0");
+  require(opt.children_per_parent >= 0, "children_per_parent",
+          opt.children_per_parent, ">= 0");
+  require(opt.patience >= 0, "patience", opt.patience, ">= 0");
+  require(opt.memory_cap_bytes >= 0, "memory_cap_bytes", opt.memory_cap_bytes, ">= 0");
+}
 
 double score_outcome(const sim::SweepOutcome& out, std::int64_t cap) {
   if (!out.ok) return 1e300;
@@ -67,6 +85,7 @@ void score_batch(std::vector<Genome>&& genomes, sim::Sweep& sweep,
   lowered.reserve(genomes.size());
   kept.reserve(genomes.size());
   for (Genome& g : genomes) {
+    HELIX_PROF_SCOPE("tune.gate");
     core::Schedule s = g.table.lower();
     if (!passes_ir_gate(s)) {
       ++report.candidates_invalid;
@@ -84,7 +103,6 @@ void score_batch(std::vector<Genome>&& genomes, sim::Sweep& sweep,
   report.candidates_scored += static_cast<std::int64_t>(outcomes.size());
   for (std::size_t i = 0; i < kept.size(); ++i) {
     Scored sc;
-    sc.fingerprint = kept[i].table.fingerprint();
     sc.genome = std::move(kept[i]);
     sc.outcome = outcomes[i];
     sc.score = score_outcome(outcomes[i], memory_cap);
@@ -97,6 +115,7 @@ void score_batch(std::vector<Genome>&& genomes, sim::Sweep& sweep,
 TuneReport tune(const core::PipelineProblem& problem,
                 const core::CostModel& cost, const TuneOptions& opt,
                 sim::Sweep* sweep, const std::vector<std::int64_t>& base_memory) {
+  check_options(opt);
   HELIX_PROF_SCOPE("tune.search");
   TuneReport report;
   sim::Sweep local_sweep;
@@ -130,7 +149,8 @@ TuneReport tune(const core::PipelineProblem& problem,
               report, beam);
   for (const Scored& s : beam) {
     report.baselines.push_back(FamilyBaseline{s.genome.prov.family, s.outcome});
-    seen.insert(s.fingerprint);
+    HELIX_PROF_SCOPE("tune.fingerprint");
+    seen.insert(s.genome.table.fingerprint());
   }
 
   if (beam.empty()) {
@@ -155,18 +175,24 @@ TuneReport tune(const core::PipelineProblem& problem,
     for (const Scored& parent : beam) {
       for (int c = 0; c < opt.children_per_parent; ++c) {
         Genome child = parent.genome;
-        const int muts =
-            1 + static_cast<int>(rng() %
-                                 static_cast<std::uint64_t>(std::max(
-                                     1, opt.max_mutations_per_child)));
         bool changed = false;
-        for (int k = 0; k < muts; ++k) {
-          const auto kind = static_cast<MutationKind>(
-              rng() % static_cast<std::uint64_t>(kNumMutationKinds));
-          changed |= apply_mutation(child, kind, rng, cost, opt.mutation);
+        {
+          HELIX_PROF_SCOPE("tune.mutate");
+          const int muts =
+              1 + static_cast<int>(rng() % static_cast<std::uint64_t>(kMaxMutationsPerChild));
+          for (int k = 0; k < muts; ++k) {
+            const auto kind = static_cast<MutationKind>(
+                rng() % static_cast<std::uint64_t>(kNumMutationKinds));
+            changed |= apply_mutation(child, kind, rng, cost);
+          }
         }
         if (!changed) continue;
-        if (!seen.insert(child.table.fingerprint()).second) {
+        bool fresh = false;
+        {
+          HELIX_PROF_SCOPE("tune.fingerprint");
+          fresh = seen.insert(child.table.fingerprint()).second;
+        }
+        if (!fresh) {
           ++report.candidates_deduped;
           continue;
         }

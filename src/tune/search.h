@@ -16,7 +16,7 @@
 //    the caller's subset) is built and lifted, so the search starts from the
 //    best hand-built schedules *and* can be restricted to a naive seed to
 //    prove it rediscovers the good ones.
-//  * Generations: each beam parent spawns children by 1..k random mutations
+//  * Generations: each beam parent spawns children by 1..2 random mutations
 //    (tune/mutate.h); children are deduped by table fingerprint, checked
 //    against the helix_check IR gate (validate_structure / semantics /
 //    coverage — mutations are safe by construction, so this is a backstop,
@@ -34,10 +34,9 @@
 namespace helix::tune {
 
 struct TuneOptions {
-  int beam_width = 6;
+  int beam_width = 6;  ///< >= 1
   int generations = 24;
   int children_per_parent = 8;
-  int max_mutations_per_child = 2;  ///< each child applies 1..this mutations
   /// Stop early after this many generations without improving the best
   /// score (0 = never stop early).
   int patience = 8;
@@ -46,7 +45,6 @@ struct TuneOptions {
   std::int64_t memory_cap_bytes = 0;
   /// Registry keys to seed from; empty = every applicable family.
   std::vector<std::string> seed_families;
-  MutationOptions mutation;
 };
 
 /// One scored schedule with its mutation history.
@@ -81,7 +79,15 @@ struct TuneReport {
 /// oracle — pass a caller-owned instance to share its memo cache across
 /// tune() calls (cluster_planner does); null uses a private one.
 /// `base_memory` is forwarded to the simulator (per-stage resident bytes).
-/// Throws std::invalid_argument when no seed family is applicable.
+/// Throws std::invalid_argument naming the field when beam_width < 1 or
+/// generations, children_per_parent, patience or memory_cap_bytes is
+/// negative, and when no seed family is applicable.
+///
+/// Profiling sites (obs/prof.h), all inside tune.search: tune.mutate (one
+/// child's mutations), tune.fingerprint (its dedup hash), tune.gate (lower
+/// plus the IR gate, per candidate), and the counters tune.legality.checks
+/// and tune.legality.visited (ops the bounded swap checks and the order
+/// repairs touched).
 TuneReport tune(const core::PipelineProblem& problem,
                 const core::CostModel& cost, const TuneOptions& opt,
                 sim::Sweep* sweep = nullptr,

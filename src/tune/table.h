@@ -1,13 +1,14 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "core/ir.h"
 
-// Tabular schedule representation (ROADMAP item 1; DESIGN §15).
+// Tabular schedule representation (DESIGN §15).
 //
 // A tune::Table is the schedule-as-data view of a core::Schedule: a
 // rank × slot grid where row r lists stage r's program and each cell wraps
@@ -26,6 +27,16 @@
 // (tune/search.h) never has to repair candidates. Regeneration knobs
 // (recompute set, chunking) live one level up in tune/mutate.h, since they
 // change the op payload, not just the order.
+//
+// Legality is checked locally. Order edits never change the static edges
+// (deps, send->recv, semantic order), so lift packs them once into an
+// immutable CSR graph that every copy of the table shares. Each table keeps
+// a topological index of its ops over those edges plus row order: a path
+// a ->* b only passes through ops indexed below b, so the swap check
+// searches that window alone, and an accepted swap repairs the index over
+// the two cones the check and one backward walk visit (Pearce & Kelly,
+// "A Dynamic Topological Sort Algorithm for Directed Acyclic Graphs",
+// JEA 2006).
 namespace helix::tune {
 
 /// Coarse cell type for mutation targeting; derived from the op kind.
@@ -60,8 +71,9 @@ class Table {
   Table() = default;
 
   /// Build the tabular view of `sched`. Requires dense op ids (what every
-  /// ScheduleBuilder-produced schedule has); throws std::invalid_argument
-  /// otherwise.
+  /// ScheduleBuilder-produced schedule has) and a row order that is acyclic
+  /// under the constraint graph; throws std::invalid_argument naming the
+  /// schedule otherwise.
   static Table lift(const core::Schedule& sched);
 
   /// Reconstruct the Schedule. Exact inverse of lift on an unmutated table;
@@ -88,13 +100,15 @@ class Table {
 
   /// Would try_swap(rank, slot) succeed? (No dependency path — other than
   /// the direct stream edge — from the cell at `slot` to the cell at
-  /// `slot + 1`.)
+  /// `slot + 1`.) Searches only the ops the topological index places
+  /// between the two cells.
   bool can_swap(int rank, int slot) const;
 
   /// Swap the adjacent cells (rank, slot) and (rank, slot + 1) if doing so
-  /// keeps the dependency graph acyclic; returns whether the swap was
-  /// applied. This is the only order-mutation primitive — every legal
-  /// reordering is a sequence of safe adjacent swaps.
+  /// keeps the dependency graph acyclic, and repair the topological index
+  /// locally; returns whether the swap was applied. This is the only
+  /// order-mutation primitive — every legal reordering is a sequence of
+  /// safe adjacent swaps.
   bool try_swap(int rank, int slot);
 
   /// Move the cell at (rank, from) toward slot `to` by chained safe swaps,
@@ -108,24 +122,33 @@ class Table {
   std::uint64_t fingerprint() const;
 
  private:
-  /// True when a path A ->* B exists that does not use the direct A->B
-  /// stream edge (BFS over dep edges, send->recv rendezvous edges and
-  /// stream-successor edges).
-  bool reaches_excluding_stream_edge(core::OpId from, core::OpId to) const;
+  /// The static constraint graph in CSR form: op a's successors are
+  /// succ[succ_begin[a] .. succ_begin[a + 1]), and likewise for
+  /// predecessors. Stream edges are implicit in the row order.
+  struct Graph {
+    std::vector<std::uint32_t> succ_begin, pred_begin;  ///< n + 1 offsets
+    std::vector<core::OpId> succ, pred;
+  };
+
+  /// True when a path from -> to exists that does not use the direct
+  /// from -> to stream edge (`from` is `to`'s row predecessor). Leaves the
+  /// ops it visited, all indexed below `to`, in the thread's scratch for
+  /// repair_order.
+  bool reaches(core::OpId from, core::OpId to) const;
+
+  /// Restore ord_ after the stream edge a -> b turned into b -> a. The ops
+  /// reachable from a below ord_[b] are the ones reaches(a, b) just visited;
+  /// the ops reaching b above ord_[a] are walked here. Their indices are
+  /// pooled and reassigned, b's cone first.
+  void repair_order(core::OpId a, core::OpId b);
 
   std::string name_;
   int num_micro_batches_ = 0;
   int num_layers_ = 0;
   std::vector<std::vector<Cell>> rows_;
-  std::vector<CellRef> pos_;  ///< op id -> grid position
-  /// Static successor adjacency (op id -> consumer op ids): reversed deps,
-  /// the send->recv rendezvous edge and core::semantic_order_edges. Stream
-  /// edges are implicit in the row order and added dynamically during
-  /// reachability checks.
-  std::vector<std::vector<core::OpId>> succ_;
-  mutable std::vector<std::uint32_t> visit_mark_;  ///< BFS scratch (epochs)
-  mutable std::uint32_t visit_epoch_ = 0;
-  mutable std::vector<core::OpId> visit_queue_;    ///< BFS scratch
+  std::vector<CellRef> pos_;         ///< op id -> grid position
+  std::vector<std::int32_t> ord_;    ///< op id -> topological index
+  std::shared_ptr<const Graph> graph_;  ///< shared by every copy of a lift
 };
 
 }  // namespace helix::tune

@@ -175,7 +175,6 @@ inline void corrupt(core::Schedule& s, std::mt19937_64& rng) {
 template <typename Visit>
 void for_each_corpus_schedule(const CorpusSpec& spec, Visit&& visit) {
   const core::UnitCostModel cost = corpus_cost();
-  const tune::MutationOptions mopt;
   std::mt19937_64 rng(spec.seed);
   const auto with_corruptions = [&](const core::Schedule& s) {
     visit(s);
@@ -204,7 +203,7 @@ void for_each_corpus_schedule(const CorpusSpec& spec, Visit&& visit) {
                  ++tries) {
               const auto mk = static_cast<tune::MutationKind>(
                   rng() % static_cast<std::uint64_t>(tune::kNumMutationKinds));
-              if (!tune::apply_mutation(g, mk, rng, cost, mopt)) continue;
+              if (!tune::apply_mutation(g, mk, rng, cost)) continue;
               ++applied;
               with_corruptions(g.table.lower());
             }

@@ -64,7 +64,6 @@ core::Schedule mutated_schedule(const std::string& family,
     g.prov.family = family;
     g.table = tune::Table::lift(fam.build(pr, cost));
     std::mt19937_64 rng(seed);
-    const tune::MutationOptions opt;
     for (int i = 0; i < 12; ++i) {
       // Order mutations only, so the seed's op set is kept; the gate reads
       // recomputation off the schedule's ops either way.
@@ -72,7 +71,7 @@ core::Schedule mutated_schedule(const std::string& family,
           tune::MutationKind::kSwapAdjacent, tune::MutationKind::kMoveWEarlier,
           tune::MutationKind::kHoistRecv, tune::MutationKind::kWidenLookahead,
           tune::MutationKind::kRelist};
-      tune::apply_mutation(g, kinds[rng() % 5], rng, cost, opt);
+      tune::apply_mutation(g, kinds[rng() % 5], rng, cost);
     }
     return g.table.lower();
   }
@@ -115,7 +114,7 @@ TEST(Gate, ReadsRecomputationOffTheSchedule) {
       pr, {.two_fold = false, .recompute_without_attention = false}));
   std::mt19937_64 rng(3);
   ASSERT_TRUE(tune::apply_mutation(g, tune::MutationKind::kToggleRecompute, rng,
-                                   unit_cost(), tune::MutationOptions{}));
+                                   unit_cost()));
   ASSERT_TRUE(g.prov.recompute);
   tune::GateConfig cfg;
   cfg.model = tiny_model(pr.m, pr.L);

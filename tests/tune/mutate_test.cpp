@@ -70,7 +70,6 @@ void expect_valid(const core::Schedule& s, const std::string& what) {
 TEST(Mutate, EveryKindOnEveryFamilyStaysValid) {
   const core::UnitCostModel cost = unit_cost();
   const core::PipelineProblem pr = make_problem(4, 8, 8);
-  const tune::MutationOptions opt;
   for (const schedules::FamilySpec& fam : schedules::family_registry()) {
     if (!fam.applicable(pr)) continue;
     for (int kind = 0; kind < tune::kNumMutationKinds; ++kind) {
@@ -83,7 +82,7 @@ TEST(Mutate, EveryKindOnEveryFamilyStaysValid) {
         g.table = tune::Table::lift(fam.build(pr, cost));
         g.lineage = fam.key;
         std::mt19937_64 rng(seed);
-        if (!tune::apply_mutation(g, mk, rng, cost, opt)) continue;
+        if (!tune::apply_mutation(g, mk, rng, cost)) continue;
         expect_valid(g.table.lower(), std::string(fam.key) + " +" + tune::to_string(mk) +
                                           " seed=" + std::to_string(seed));
       }
@@ -95,7 +94,6 @@ TEST(Mutate, EveryKindOnEveryFamilyStaysValid) {
 TEST(Mutate, LongRandomMutationChainsStayValid) {
   const core::UnitCostModel cost = unit_cost();
   const core::PipelineProblem pr = make_problem(2, 4, 4);
-  const tune::MutationOptions opt;
   for (const schedules::FamilySpec& fam : schedules::family_registry()) {
     if (!fam.applicable(pr)) continue;
     tune::Genome g;
@@ -107,7 +105,7 @@ TEST(Mutate, LongRandomMutationChainsStayValid) {
     for (int step = 0; step < 40; ++step) {
       const auto mk = static_cast<tune::MutationKind>(
           rng() % static_cast<std::uint64_t>(tune::kNumMutationKinds));
-      if (!tune::apply_mutation(g, mk, rng, cost, opt)) continue;
+      if (!tune::apply_mutation(g, mk, rng, cost)) continue;
       expect_valid(g.table.lower(),
                    std::string(fam.key) + " step " + std::to_string(step) + " (" +
                        tune::to_string(mk) + ")");
@@ -145,7 +143,6 @@ TEST(Mutate, ToggleRecomputeFlipsProvenanceAndOpSet) {
   g.prov.problem = pr;
   g.prov.family = "helix_two_fold";
   g.prov.recompute = false;
-  tune::MutationOptions opt;
   for (const schedules::FamilySpec& fam : schedules::family_registry()) {
     if (std::string(fam.key) == "helix_two_fold") g.table = tune::Table::lift(fam.build(pr, cost));
   }
@@ -153,7 +150,7 @@ TEST(Mutate, ToggleRecomputeFlipsProvenanceAndOpSet) {
   const std::uint64_t before = g.table.fingerprint();
   std::mt19937_64 rng(1);
   ASSERT_TRUE(tune::apply_mutation(g, tune::MutationKind::kToggleRecompute,
-                                   rng, cost, opt));
+                                   rng, cost));
   EXPECT_TRUE(g.prov.recompute);
   EXPECT_NE(g.table.fingerprint(), before);  // recompute ops appeared
   expect_valid(g.table.lower(), "toggled recompute");
@@ -166,5 +163,5 @@ TEST(Mutate, ToggleRecomputeFlipsProvenanceAndOpSet) {
     if (std::string(fam.key) == "1f1b") lw.table = tune::Table::lift(fam.build(pr, cost));
   }
   EXPECT_FALSE(tune::apply_mutation(lw, tune::MutationKind::kToggleRecompute,
-                                    rng, cost, opt));
+                                    rng, cost));
 }

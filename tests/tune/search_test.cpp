@@ -5,6 +5,9 @@
 // communication.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "core/cost.h"
 #include "core/validator.h"
 #include "sim/sweep.h"
@@ -137,4 +140,54 @@ TEST(Search, ThrowsWhenNoSeedFamilyApplies) {
   tune::TuneOptions opt = short_budget();
   opt.seed_families = {"helix_two_fold"};
   EXPECT_THROW(tune::tune(pr, cost, opt), std::invalid_argument);
+}
+
+namespace {
+
+// Out-of-range options are refused up front, naming the field. A beam of
+// width 0 used to read the front of an empty beam, and negative counts
+// threw std::length_error from a reserve.
+void expect_rejected(const tune::TuneOptions& opt, const std::string& field) {
+  const core::PipelineProblem pr = make_problem(2, 4, 4);
+  const core::UnitCostModel cost = priced_cost();
+  try {
+    tune::tune(pr, cost, opt);
+    ADD_FAILURE() << field << " accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+  }
+}
+
+}  // namespace
+
+TEST(Search, RejectsBeamWidthBelowOne) {
+  for (const int w : {0, -2}) {
+    tune::TuneOptions opt = short_budget();
+    opt.beam_width = w;
+    expect_rejected(opt, "beam_width");
+  }
+}
+
+TEST(Search, RejectsNegativeGenerations) {
+  tune::TuneOptions opt = short_budget();
+  opt.generations = -1;
+  expect_rejected(opt, "generations");
+}
+
+TEST(Search, RejectsNegativeChildrenPerParent) {
+  tune::TuneOptions opt = short_budget();
+  opt.children_per_parent = -1;
+  expect_rejected(opt, "children_per_parent");
+}
+
+TEST(Search, RejectsNegativePatience) {
+  tune::TuneOptions opt = short_budget();
+  opt.patience = -1;
+  expect_rejected(opt, "patience");
+}
+
+TEST(Search, RejectsNegativeMemoryCap) {
+  tune::TuneOptions opt = short_budget();
+  opt.memory_cap_bytes = -1;
+  expect_rejected(opt, "memory_cap_bytes");
 }

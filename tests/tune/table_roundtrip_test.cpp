@@ -174,3 +174,32 @@ TEST(TableRoundtrip, LiftRejectsNonDenseIds) {
   s.stage_ops[0].push_back(op);
   EXPECT_THROW(tune::Table::lift(s), std::invalid_argument);
 }
+
+// A row that runs a consumer ahead of its producer makes the constraint
+// graph cyclic; lift refuses it by the schedule's name rather than answer
+// legality questions on a cyclic graph.
+TEST(TableRoundtrip, LiftRejectsACyclicRowOrderByName) {
+  core::Schedule s = schedules::find_family("1f1b")->build(make_problem(2, 4, 4), unit_cost());
+  std::vector<core::Op>& row = s.stage_ops[0];
+  std::size_t producer = 0;
+  std::size_t consumer = 0;
+  for (std::size_t k = 0; k < row.size() && consumer == 0; ++k) {
+    for (const core::OpId d : row[k].deps) {
+      for (std::size_t j = 0; j < k; ++j) {
+        if (row[j].id == d) {
+          producer = j;
+          consumer = k;
+        }
+      }
+    }
+  }
+  ASSERT_LT(producer, consumer);
+  std::swap(row[producer], row[consumer]);
+  try {
+    tune::Table::lift(s);
+    ADD_FAILURE() << "lift accepted a cyclic row order";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("\"" + s.name + "\""), std::string::npos)
+        << e.what();
+  }
+}

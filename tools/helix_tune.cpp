@@ -12,20 +12,28 @@
 // *only* the naive FILO schedule and require the search to rediscover a
 // schedule at least as good (simulated bubble) as the hand-built two-fold
 // FILO — then pass every winner through the numeric differential gate under
-// both comm engines. Exits non-zero if any shape misses either bar.
+// both comm engines. Exits 1 if any shape misses either bar.
+//
+// Bad input (an unknown flag, a flag without its value, a number that is
+// not whole or out of its flag's range, L not divisible by p, a shape no
+// seed family applies to) prints the message and the usage and exits 2.
 //
 // Communication is priced (default 10 elements per boundary at 0.1 s/elem,
 // the paper's 1:3:2 unit-cost scale) because under free communication the
 // naive single-loop FILO order is already Table-2-optimal — there is
 // nothing to search for. Pricing comm is what makes overlap quality, and
 // therefore schedule order, matter.
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/cost.h"
+#include "core/ir.h"
 #include "nn/model.h"
 #include "sim/sweep.h"
 #include "tune/gate.h"
@@ -34,6 +42,12 @@
 using namespace helix;
 
 namespace {
+
+/// Upper bounds of the search-size flags: the beam and each generation's
+/// children are reserved up front.
+constexpr int kMaxBeam = 1024;
+constexpr int kMaxChildren = 1024;
+constexpr int kMaxGenerations = 1 << 20;
 
 struct Args {
   int p = 4;
@@ -170,9 +184,8 @@ int run_table2(const Args& a) {
 
 int run_single(const Args& a) {
   if (a.L % a.p != 0) {
-    std::fprintf(stderr, "helix_tune: L=%d must be divisible by p=%d\n", a.L,
-                 a.p);
-    return 2;
+    throw std::invalid_argument("L=" + std::to_string(a.L) +
+                                " must be divisible by p=" + std::to_string(a.p));
   }
   const core::PipelineProblem pr = make_problem(a.p, a.m, a.L, a.comm_elems);
   const core::UnitCostModel cost = make_cost(a);
@@ -201,50 +214,105 @@ int run_single(const Args& a) {
   return 0;
 }
 
-}  // namespace
+int usage_error(const std::string& why) {
+  std::fprintf(stderr,
+               "helix_tune: %s\n"
+               "usage: helix_tune [--p N --m N --L N] [--table2] [--gate]\n"
+               "                  [--seed-family KEY]... [--beam N]\n"
+               "                  [--generations N] [--children N] [--seed N]\n"
+               "                  [--memory-cap BYTES] [--comm-elems N]\n"
+               "                  [--cost-per-elem F]\n"
+               "  --p, --m, --L     whole numbers in [1, %d]\n"
+               "  --beam            whole number in [1, %d]\n"
+               "  --generations     whole number in [0, %d]\n"
+               "  --children        whole number in [0, %d]\n"
+               "  --seed            whole number in [0, 2^64)\n"
+               "  --memory-cap      bytes, a whole number >= 0 (0 = no cap)\n"
+               "  --comm-elems      whole number >= 0\n"
+               "  --cost-per-elem   finite number >= 0\n",
+               why.c_str(), core::kMaxShape, kMaxBeam, kMaxGenerations,
+               kMaxChildren);
+  return 2;
+}
 
-int main(int argc, char** argv) {
+/// `text` as a whole number in [lo, hi]; otherwise throws
+/// std::invalid_argument naming the flag.
+template <typename T>
+T parse_whole(const char* flag, const std::string& text, T lo, T hi) {
+  T v{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end || v < lo || v > hi) {
+    throw std::invalid_argument(std::string("bad ") + flag + " '" + text +
+                                "': expected a whole number in [" +
+                                std::to_string(lo) + ", " + std::to_string(hi) + "]");
+  }
+  return v;
+}
+
+/// `text` as a finite number >= 0; otherwise throws std::invalid_argument
+/// naming the flag.
+double parse_nonnegative(const char* flag, const std::string& text) {
+  double v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end || !std::isfinite(v) || v < 0) {
+    throw std::invalid_argument(std::string("bad ") + flag + " '" + text +
+                                "': expected a finite number >= 0");
+  }
+  return v;
+}
+
+Args parse_args(int argc, char** argv) {
+  constexpr auto kInt64Max = std::numeric_limits<std::int64_t>::max();
   Args a;
-  const auto int_arg = [&](int& i) { return std::atoi(argv[++i]); };
   for (int i = 1; i < argc; ++i) {
     const char* f = argv[i];
-    const bool has_val = i + 1 < argc;
+    const auto value = [&]() -> std::string {
+      if (i + 1 >= argc) throw std::invalid_argument(std::string("missing value for ") + f);
+      return argv[++i];
+    };
     if (std::strcmp(f, "--table2") == 0) {
       a.table2 = true;
     } else if (std::strcmp(f, "--gate") == 0) {
       a.gate = true;
-    } else if (std::strcmp(f, "--p") == 0 && has_val) {
-      a.p = int_arg(i);
-    } else if (std::strcmp(f, "--m") == 0 && has_val) {
-      a.m = int_arg(i);
-    } else if (std::strcmp(f, "--L") == 0 && has_val) {
-      a.L = int_arg(i);
-    } else if (std::strcmp(f, "--beam") == 0 && has_val) {
-      a.tune_opt.beam_width = int_arg(i);
-    } else if (std::strcmp(f, "--generations") == 0 && has_val) {
-      a.tune_opt.generations = int_arg(i);
-    } else if (std::strcmp(f, "--children") == 0 && has_val) {
-      a.tune_opt.children_per_parent = int_arg(i);
-    } else if (std::strcmp(f, "--seed") == 0 && has_val) {
-      a.tune_opt.seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(f, "--memory-cap") == 0 && has_val) {
-      a.tune_opt.memory_cap_bytes = std::atoll(argv[++i]);
-    } else if (std::strcmp(f, "--comm-elems") == 0 && has_val) {
-      a.comm_elems = std::atoll(argv[++i]);
-    } else if (std::strcmp(f, "--cost-per-elem") == 0 && has_val) {
-      a.cost_per_elem = std::atof(argv[++i]);
-    } else if (std::strcmp(f, "--seed-family") == 0 && has_val) {
-      a.seed_families.emplace_back(argv[++i]);
+    } else if (std::strcmp(f, "--p") == 0) {
+      a.p = parse_whole(f, value(), 1, core::kMaxShape);
+    } else if (std::strcmp(f, "--m") == 0) {
+      a.m = parse_whole(f, value(), 1, core::kMaxShape);
+    } else if (std::strcmp(f, "--L") == 0) {
+      a.L = parse_whole(f, value(), 1, core::kMaxShape);
+    } else if (std::strcmp(f, "--beam") == 0) {
+      a.tune_opt.beam_width = parse_whole(f, value(), 1, kMaxBeam);
+    } else if (std::strcmp(f, "--generations") == 0) {
+      a.tune_opt.generations = parse_whole(f, value(), 0, kMaxGenerations);
+    } else if (std::strcmp(f, "--children") == 0) {
+      a.tune_opt.children_per_parent = parse_whole(f, value(), 0, kMaxChildren);
+    } else if (std::strcmp(f, "--seed") == 0) {
+      a.tune_opt.seed = parse_whole(f, value(), std::uint64_t{0},
+                                    std::numeric_limits<std::uint64_t>::max());
+    } else if (std::strcmp(f, "--memory-cap") == 0) {
+      a.tune_opt.memory_cap_bytes = parse_whole(f, value(), std::int64_t{0}, kInt64Max);
+    } else if (std::strcmp(f, "--comm-elems") == 0) {
+      a.comm_elems = parse_whole(f, value(), std::int64_t{0}, kInt64Max);
+    } else if (std::strcmp(f, "--cost-per-elem") == 0) {
+      a.cost_per_elem = parse_nonnegative(f, value());
+    } else if (std::strcmp(f, "--seed-family") == 0) {
+      a.seed_families.push_back(value());
     } else {
-      std::fprintf(
-          stderr,
-          "usage: helix_tune [--p N --m N --L N] [--table2] [--gate]\n"
-          "                  [--seed-family KEY]... [--beam N]\n"
-          "                  [--generations N] [--children N] [--seed N]\n"
-          "                  [--memory-cap BYTES] [--comm-elems N]\n"
-          "                  [--cost-per-elem F]\n");
-      return 2;
+      throw std::invalid_argument(std::string("unknown flag ") + f);
     }
   }
-  return a.table2 ? run_table2(a) : run_single(a);
+  return a;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    const Args a = parse_args(argc, argv);
+    return a.table2 ? run_table2(a) : run_single(a);
+  } catch (const std::exception& e) {
+    return usage_error(e.what());
+  }
 }
