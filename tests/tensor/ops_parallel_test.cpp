@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "par/thread_pool.h"
@@ -27,13 +29,44 @@ class OpsParallelTest : public ::testing::TestWithParam<int> {
   void TearDown() override { par::set_global_threads(1); }
 };
 
+/// Every matmul variant on C = [m, n], k deep, against its oracle.
+void expect_matmuls_match(i64 m, i64 k, i64 n, std::uint64_t seed) {
+  SCOPED_TRACE("m=" + std::to_string(m) + " k=" + std::to_string(k) +
+               " n=" + std::to_string(n));
+  Tensor a({m, k}), b({k, n}), at({k, m}), bt({n, k});
+  fill_uniform(a, seed);
+  fill_uniform(b, seed + 1);
+  fill_uniform(at, seed + 2);
+  fill_uniform(bt, seed + 3);
+  expect_bits_equal(matmul(a, b), ref::matmul(a, b), "matmul");
+  expect_bits_equal(matmul_tn(at, b), ref::matmul_tn(at, b), "matmul_tn");
+  expect_bits_equal(matmul_nt(a, bt), ref::matmul_nt(a, bt), "matmul_nt");
+}
+
 TEST_P(OpsParallelTest, MatmulVariantsMatchReferenceBitwise) {
-  // Deliberately non-square, non-power-of-two shapes so chunk tails exist.
-  Tensor a({37, 21}), b({21, 29}), at({21, 37}), bt({29, 21});
-  fill_uniform(a, 1);
-  fill_uniform(b, 2);
-  fill_uniform(at, 3);
-  fill_uniform(bt, 4);
+  // Sizes on both sides of small register-tile and grain widths, so every
+  // full tile, partial tile and chunk tail is covered, plus the mini-GPT
+  // train shapes (m x k x n).
+  const i64 edges[] = {1, 2, 3, 7, 8, 9, 17};
+  const i64 depths[] = {1, 2, 3, 8, 31};
+  std::uint64_t seed = 1;
+  for (const i64 m : edges) {
+    for (const i64 n : edges) {
+      for (const i64 k : depths) expect_matmuls_match(m, k, n, seed += 4);
+    }
+  }
+  const i64 train[][3] = {
+      {256, 32, 96}, {128, 32, 128}, {128, 128, 32}, {8, 32, 128}, {128, 8, 32}};
+  for (const auto& s : train) expect_matmuls_match(s[0], s[1], s[2], seed += 4);
+}
+
+TEST_P(OpsParallelTest, MatmulFoldStartsFromPositiveZero) {
+  // Zero rows times negative entries give -0 products. The oracle folds
+  // them into an accumulator that starts at +0, so C is +0; a kernel that
+  // seeded its accumulator with the first product would return -0.
+  Tensor a({5, 6}), b({6, 11}), at({6, 5}), bt({11, 6});
+  fill_uniform(b, 60, -1.0f, -0.5f);
+  fill_uniform(bt, 61, -1.0f, -0.5f);
   expect_bits_equal(matmul(a, b), ref::matmul(a, b), "matmul");
   expect_bits_equal(matmul_tn(at, b), ref::matmul_tn(at, b), "matmul_tn");
   expect_bits_equal(matmul_nt(a, bt), ref::matmul_nt(a, bt), "matmul_nt");
@@ -79,25 +112,36 @@ TEST_P(OpsParallelTest, GeluMatchesReferenceBitwise) {
   expect_bits_equal(gelu_backward(dy, x), ref::gelu_backward(dy, x), "gelu bwd");
 }
 
+/// Attention forward and backward on one shape against the oracle.
+void expect_attention_matches(i64 batch, i64 seq, int heads, i64 dh,
+                              std::uint64_t seed) {
+  SCOPED_TRACE("batch=" + std::to_string(batch) + " seq=" + std::to_string(seq) +
+               " heads=" + std::to_string(heads) + " dh=" + std::to_string(dh));
+  const i64 h = dh * heads;
+  Tensor qkv({batch * seq, 3 * h});
+  Tensor dctx({batch * seq, h});
+  fill_uniform(qkv, seed);
+  fill_uniform(dctx, seed + 1);
+  expect_bits_equal(attention_forward(qkv, batch, seq, heads),
+                    ref::attention_forward(qkv, batch, seq, heads), "attention fwd");
+  expect_bits_equal(attention_backward(dctx, qkv, batch, seq, heads),
+                    ref::attention_backward(dctx, qkv, batch, seq, heads),
+                    "attention bwd");
+}
+
 TEST_P(OpsParallelTest, AttentionMatchesReferenceBitwise) {
-  // heads > 1 and non-square (batch, seq) combinations, including odd seq.
-  struct Shape {
-    i64 batch, seq;
-    int heads;
-  };
-  for (const Shape& sh : {Shape{1, 9, 2}, Shape{2, 7, 4}, Shape{3, 5, 2}}) {
-    const i64 h = 8 * sh.heads;
-    Tensor qkv({sh.batch * sh.seq, 3 * h});
-    Tensor dctx({sh.batch * sh.seq, h});
-    fill_uniform(qkv, 14 + static_cast<std::uint64_t>(sh.batch));
-    fill_uniform(dctx, 20 + static_cast<std::uint64_t>(sh.seq));
-    expect_bits_equal(attention_forward(qkv, sh.batch, sh.seq, sh.heads),
-                      ref::attention_forward(qkv, sh.batch, sh.seq, sh.heads),
-                      "attention fwd");
-    expect_bits_equal(attention_backward(dctx, qkv, sh.batch, sh.seq, sh.heads),
-                      ref::attention_backward(dctx, qkv, sh.batch, sh.seq, sh.heads),
-                      "attention bwd");
+  // Head widths on both sides of small column blocks and sequence lengths
+  // on both sides of small key-row blocks, so every full block and every
+  // tail is covered, then the train_long_seq shape (seq 256, h 32, 4 heads).
+  std::uint64_t seed = 14;
+  for (const i64 dh : {1, 3, 8, 9, 16}) {
+    for (const i64 seq : {1, 2, 5, 9, 33}) {
+      for (const i64 batch : {1, 2}) {
+        expect_attention_matches(batch, seq, 2, dh, seed += 2);
+      }
+    }
   }
+  expect_attention_matches(1, 256, 4, 8, seed += 2);
 }
 
 TEST_P(OpsParallelTest, CrossEntropyMatchesReferenceExactly) {
