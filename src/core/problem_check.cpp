@@ -31,6 +31,17 @@ void validate_problem(const PipelineProblem& pr, const ScheduleRequirements& req
   if (pr.L < 1) {
     reject(req, "transformer layers L=" + std::to_string(pr.L) + " must be >= 1");
   }
+  // Op::stage, Op::mb and Op::layer are 16-bit: refuse a larger shape here,
+  // before a builder allocates for every stage, micro batch and layer.
+  const auto limit = [&](const char* field, int v) {
+    if (v > kMaxShape) {
+      reject(req, std::string(field) + "=" + std::to_string(v) + " exceeds " +
+                      std::to_string(kMaxShape) + ", the IR's 16-bit limit");
+    }
+  };
+  limit("pipeline stages p", pr.p);
+  limit("micro batches m", pr.m);
+  limit("transformer layers L", pr.L);
   const int chunk = req.layer_divisor_per_stage;
   if (chunk < 1) {
     reject(req, "layer_divisor_per_stage=" + std::to_string(chunk) +

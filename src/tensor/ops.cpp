@@ -1,9 +1,15 @@
 #include "tensor/ops.h"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
 #include "par/thread_pool.h"
+
+// Never fuse a multiply and an add into one rounding: the pooled kernels and
+// the oracle must round every product and every sum alike under any -march.
+// A pragma, not a build flag, so that every build of these sources gets it.
+#pragma GCC optimize("fp-contract=off")
 
 // Pooled, cache-blocked kernels. Every kernel here is BIT-IDENTICAL to its
 // serial counterpart in ops_ref.cpp for any HELIX_THREADS value:
@@ -28,53 +34,94 @@ constexpr double kGeluC = 0.7978845608028654;  // sqrt(2/pi)
 // Fixed parallel grains: shape-independent constants so the chunk partition
 // (and therefore every chunk-indexed reduction) never depends on thread count.
 constexpr i64 kMatmulRowGrain = 8;   ///< output rows per matmul chunk
-constexpr i64 kPackRowGrain = 64;    ///< packed rows per transpose chunk
+constexpr i64 kPackGrain = 64;       ///< rows (A) or columns (B) per packing chunk
 constexpr i64 kRowGrain = 16;        ///< rows per layernorm/embedding chunk
 constexpr i64 kColGrain = 32;        ///< columns per column-reduction chunk
 constexpr i64 kElemGrain = 8192;     ///< elements per elementwise chunk
 constexpr i64 kCeRowGrain = 4;       ///< rows per cross-entropy chunk
 
-/// dst[j*k + t] = src.at(t, j): pack a [k, n] operand transposed so the
-/// matmul inner loop reads both operands contiguously.
-void pack_transposed(const Tensor& src, i64 k, i64 n, std::vector<float>& dst) {
-  dst.resize(static_cast<std::size_t>(n * k));
-  float* out = dst.data();
-  const float* in = src.data();
-  par::parallel_for(n, kPackRowGrain, [&](i64 j0, i64 j1, i64) {
-    for (i64 j = j0; j < j1; ++j) {
-      for (i64 t = 0; t < k; ++t) out[j * k + t] = in[t * n + j];
-    }
-  });
-}
+// Register tiles: independent double accumulators per block, each folding
+// its own output element in the oracle's order.
+constexpr i64 kMr = 1;         ///< matmul tile rows (kMatmulRowGrain % kMr == 0)
+constexpr i64 kNr = 8;         ///< matmul tile columns = width of one B panel
+constexpr i64 kDotRows = 4;    ///< attention key rows per row_dots block
+constexpr i64 kFoldCols = 8;   ///< attention head columns per fold_cols block
+static_assert(kMatmulRowGrain % kMr == 0);
 
-/// Rows [i0, i1) of matmul_rows_nt. Out of line and aligned to a 64-byte
-/// cache line, so its loops sit at the same offsets within cache lines and
-/// decoded-instruction windows in every build. Inlined into the pool lambda
-/// it moved with the size of unrelated code linked before it, and a 16-byte
-/// shift made short-sequence train steps ~15% slower.
-[[gnu::noinline, gnu::aligned(64)]] void matmul_row_block(
-    const float* a, const float* b, i64 i0, i64 i1, i64 k, i64 n, float* out) {
-  for (i64 i = i0; i < i1; ++i) {
-    const float* arow = a + i * k;
-    for (i64 j = 0; j < n; ++j) {
-      const float* brow = b + j * k;
-      double acc = 0;
+/// A read-only [rows, cols] matrix view: element (r, c) at p[r * rs + c * cs].
+/// One strided view lets a single core serve all three matmul variants.
+struct Strided {
+  const float* p;
+  i64 rs, cs;
+  float at(i64 r, i64 c) const { return p[r * rs + c * cs]; }
+};
+
+/// Rows [i0, i1) of C = A * B, with A row-major [m, k] and B packed as
+/// k-major panels of kNr columns (panel q holds B(t, q*kNr + jj) at
+/// bp[(q*k + t)*kNr + jj], zero past column n). Each kMr x kNr tile keeps one
+/// double accumulator per output element and folds t ascending, exactly as
+/// ref::matmul does. Out of line and aligned to a 64-byte cache line, so its
+/// loops sit at the same offsets within cache lines and decoded-instruction
+/// windows in every build: inlined into the pool lambda it moved with the
+/// size of unrelated code linked before it, and a 16-byte shift made
+/// short-sequence train steps ~15% slower.
+[[gnu::noinline, gnu::aligned(64)]] void matmul_block(
+    const float* a, const double* bp, i64 i0, i64 i1, i64 k, i64 n, float* out) {
+  for (i64 j0 = 0; j0 < n; j0 += kNr) {
+    const double* panel = bp + j0 * k;
+    const i64 cols = std::min(kNr, n - j0);
+    for (i64 i = i0; i < i1; i += kMr) {
+      const float* arow[kMr];
+      for (i64 r = 0; r < kMr; ++r) arow[r] = a + std::min(i + r, i1 - 1) * k;
+      double acc[kMr][kNr] = {};
       for (i64 t = 0; t < k; ++t) {
-        acc += static_cast<double>(arow[t]) * static_cast<double>(brow[t]);
+        const double* bt = panel + t * kNr;
+        for (i64 r = 0; r < kMr; ++r) {
+          const double av = arow[r][t];
+#pragma GCC unroll kNr
+          for (i64 jj = 0; jj < kNr; ++jj) acc[r][jj] += av * bt[jj];
+        }
       }
-      out[i * n + j] = static_cast<float>(acc);
+      for (i64 r = 0; r < kMr && i + r < i1; ++r) {
+        for (i64 jj = 0; jj < cols; ++jj) {
+          out[(i + r) * n + j0 + jj] = static_cast<float>(acc[r][jj]);
+        }
+      }
     }
   }
 }
 
-/// C[i, j] = sum_t A[i, t] * B[j, t] with both operands row-contiguous —
-/// the shared inner kernel all three matmul variants reduce to after
-/// packing. Row-parallel; per-element k-ascending double fold as in ref.
-void matmul_rows_nt(const float* a, const float* b, i64 m, i64 k, i64 n,
-                    Tensor& c) {
+/// C[m, n] = sum_t A(i, t) * B(t, j). B is packed into double panels (a
+/// float -> double conversion is exact, so this only relocates values), and
+/// A is packed row-major only when its rows are not contiguous (matmul_tn).
+void matmul_core(Strided a, Strided b, i64 m, i64 k, i64 n, Tensor& c) {
+  const i64 panels = (n + kNr - 1) / kNr;
+  std::vector<double> bp(static_cast<std::size_t>(panels * kNr * k));
+  par::parallel_for(panels, kPackGrain / kNr, [&](i64 q0, i64 q1, i64) {
+    for (i64 q = q0; q < q1; ++q) {
+      double* dst = bp.data() + q * kNr * k;
+      for (i64 t = 0; t < k; ++t) {
+        for (i64 jj = 0; jj < kNr; ++jj) {
+          const i64 j = q * kNr + jj;
+          dst[t * kNr + jj] = j < n ? static_cast<double>(b.at(t, j)) : 0.0;
+        }
+      }
+    }
+  });
+  std::vector<float> ap;
+  const float* arows = a.p;
+  if (a.cs != 1) {
+    ap.resize(static_cast<std::size_t>(m * k));
+    par::parallel_for(m, kPackGrain, [&](i64 i0, i64 i1, i64) {
+      for (i64 i = i0; i < i1; ++i) {
+        for (i64 t = 0; t < k; ++t) ap[static_cast<std::size_t>(i * k + t)] = a.at(i, t);
+      }
+    });
+    arows = ap.data();
+  }
   float* out = c.data();
   par::parallel_for(m, kMatmulRowGrain, [&](i64 i0, i64 i1, i64) {
-    matmul_row_block(a, b, i0, i1, k, n, out);
+    matmul_block(arows, bp.data(), i0, i1, k, n, out);
   });
 }
 }  // namespace
@@ -83,9 +130,7 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   check(a.ndim() == 2 && b.ndim() == 2 && a.cols() == b.rows(), "matmul shape");
   const i64 m = a.rows(), k = a.cols(), n = b.cols();
   Tensor c({m, n});
-  std::vector<float> bt;  // B^T: [n, k]
-  pack_transposed(b, k, n, bt);
-  matmul_rows_nt(a.data(), bt.data(), m, k, n, c);
+  matmul_core({a.data(), k, 1}, {b.data(), n, 1}, m, k, n, c);
   return c;
 }
 
@@ -93,11 +138,7 @@ Tensor matmul_tn(const Tensor& a, const Tensor& b) {
   check(a.ndim() == 2 && b.ndim() == 2 && a.rows() == b.rows(), "matmul_tn shape");
   const i64 m = a.cols(), k = a.rows(), n = b.cols();
   Tensor c({m, n});
-  std::vector<float> at;  // A^T: [m, k]
-  std::vector<float> bt;  // B^T: [n, k]
-  pack_transposed(a, k, m, at);
-  pack_transposed(b, k, n, bt);
-  matmul_rows_nt(at.data(), bt.data(), m, k, n, c);
+  matmul_core({a.data(), 1, m}, {b.data(), n, 1}, m, k, n, c);
   return c;
 }
 
@@ -105,7 +146,7 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b) {
   check(a.ndim() == 2 && b.ndim() == 2 && a.cols() == b.cols(), "matmul_nt shape");
   const i64 m = a.rows(), k = a.cols(), n = b.rows();
   Tensor c({m, n});
-  matmul_rows_nt(a.data(), b.data(), m, k, n, c);
+  matmul_core({a.data(), k, 1}, {b.data(), 1, k}, m, k, n, c);
   return c;
 }
 
@@ -288,59 +329,99 @@ Tensor gelu_backward(const Tensor& dy, const Tensor& x) {
 
 namespace {
 /// Per-(batch, head) scratch: q/k/v (and optionally dctx) gathered out of the
-/// strided [b*s, 3h] qkv layout into contiguous [seq, dh] panels so the score
-/// and context dot products stream cache lines instead of skipping 3h floats.
+/// strided [b*s, 3h] qkv layout into contiguous [seq, dh] panels, plus k and
+/// v transposed to [dh, seq] for the key-row dots. Panels hold doubles: a
+/// float -> double conversion is exact, so this only relocates values, and
+/// the folds then read operands they need not convert.
 struct HeadPanels {
-  std::vector<float> q, k, v, dc;
+  std::vector<double> q, k, v, dc, kt, vt;
   void gather(const Tensor& qkv, const Tensor* dctx, i64 row0, i64 seq,
               i64 h, int hd, i64 dh) {
-    q.resize(static_cast<std::size_t>(seq * dh));
-    k.resize(static_cast<std::size_t>(seq * dh));
-    v.resize(static_cast<std::size_t>(seq * dh));
-    if (dctx != nullptr) dc.resize(static_cast<std::size_t>(seq * dh));
+    const auto n = static_cast<std::size_t>(seq * dh);
+    for (auto* p : {&q, &k, &v, &kt, &vt}) p->resize(n);
+    if (dctx != nullptr) dc.resize(n);
     for (i64 i = 0; i < seq; ++i) {
       const float* row = qkv.data() + (row0 + i) * 3 * h + hd * dh;
+      const float* drow = dctx != nullptr ? dctx->data() + (row0 + i) * h + hd * dh : nullptr;
       for (i64 c = 0; c < dh; ++c) {
-        q[static_cast<std::size_t>(i * dh + c)] = row[c];
-        k[static_cast<std::size_t>(i * dh + c)] = row[h + c];
-        v[static_cast<std::size_t>(i * dh + c)] = row[2 * h + c];
-      }
-      if (dctx != nullptr) {
-        const float* drow = dctx->data() + (row0 + i) * h + hd * dh;
-        for (i64 c = 0; c < dh; ++c) {
-          dc[static_cast<std::size_t>(i * dh + c)] = drow[c];
-        }
+        const auto at = static_cast<std::size_t>(i * dh + c);
+        const auto tr = static_cast<std::size_t>(c * seq + i);
+        q[at] = row[c];
+        k[at] = kt[tr] = row[h + c];
+        v[at] = vt[tr] = row[2 * h + c];
+        if (drow != nullptr) dc[at] = drow[c];
       }
     }
   }
 };
 
+/// out[j] = sum_c x[c] * yt[c*ld + j] for j in [0, n): one double fold per
+/// output, c ascending as in the oracle, kDotRows key rows at a time so that
+/// independent folds are in flight.
+void row_dots(const double* x, const double* yt, i64 ld, i64 n, i64 dh,
+              double* out) {
+  i64 j = 0;
+  for (; j + kDotRows <= n; j += kDotRows) {
+    double acc[kDotRows] = {};
+    for (i64 c = 0; c < dh; ++c) {
+      const double* y = yt + c * ld + j;
+#pragma GCC unroll kDotRows
+      for (i64 jj = 0; jj < kDotRows; ++jj) acc[jj] += x[c] * y[jj];
+    }
+    for (i64 jj = 0; jj < kDotRows; ++jj) out[j + jj] = acc[jj];
+  }
+  for (; j < n; ++j) {
+    double acc = 0;
+    for (i64 c = 0; c < dh; ++c) acc += x[c] * yt[c * ld + j];
+    out[j] = acc;
+  }
+}
+
+/// out[c] = sum_r w[r*ws] * ys[r*dh + c] for c in [0, dh), rounded to float:
+/// one double fold per output, r ascending as in the oracle, kFoldCols
+/// columns at a time.
+void fold_cols(const double* w, i64 ws, const double* ys, i64 rows, i64 dh,
+               float* out) {
+  i64 c = 0;
+  for (; c + kFoldCols <= dh; c += kFoldCols) {
+    double acc[kFoldCols] = {};
+    for (i64 r = 0; r < rows; ++r) {
+      const double wr = w[r * ws];
+      const double* y = ys + r * dh + c;
+#pragma GCC unroll kFoldCols
+      for (i64 cc = 0; cc < kFoldCols; ++cc) acc[cc] += wr * y[cc];
+    }
+    for (i64 cc = 0; cc < kFoldCols; ++cc) out[c + cc] = static_cast<float>(acc[cc]);
+  }
+  for (; c < dh; ++c) {
+    double acc = 0;
+    for (i64 r = 0; r < rows; ++r) acc += w[r * ws] * ys[r * dh + c];
+    out[c] = static_cast<float>(acc);
+  }
+}
+
 /// Causal softmax probabilities from packed q/k panels; the arithmetic stream
 /// (dot fold order, max, exp, normalize) matches ref::head_probs exactly.
-void head_probs_packed(const float* q, const float* k, i64 seq, i64 dh,
+/// Only the lower triangle (j <= i) of the [seq, seq] buffer is written, and
+/// only it is ever read.
+void head_probs_packed(const HeadPanels& panels, i64 seq, i64 dh,
                        std::vector<double>& probs) {
   const double scl = 1.0 / std::sqrt(static_cast<double>(dh));
-  probs.assign(static_cast<std::size_t>(seq * seq), 0.0);
+  probs.resize(static_cast<std::size_t>(seq * seq));
   for (i64 i = 0; i < seq; ++i) {
+    double* row = probs.data() + i * seq;
+    row_dots(panels.q.data() + i * dh, panels.kt.data(), seq, i + 1, dh, row);
     double maxv = -1e300;
     for (i64 j = 0; j <= i; ++j) {
-      double dot = 0;
-      for (i64 c = 0; c < dh; ++c) {
-        dot += static_cast<double>(q[i * dh + c]) * static_cast<double>(k[j * dh + c]);
-      }
-      dot *= scl;
-      probs[static_cast<std::size_t>(i * seq + j)] = dot;
-      maxv = std::max(maxv, dot);
+      row[j] *= scl;
+      maxv = std::max(maxv, row[j]);
     }
     double denom = 0;
     for (i64 j = 0; j <= i; ++j) {
-      double& pv = probs[static_cast<std::size_t>(i * seq + j)];
-      pv = std::exp(pv - maxv);
-      denom += pv;
+      row[j] = std::exp(row[j] - maxv);
+      denom += row[j];
     }
-    for (i64 j = 0; j <= i; ++j) {
-      probs[static_cast<std::size_t>(i * seq + j)] /= denom;
-    }
+    for (i64 j = 0; j <= i; ++j) row[j] /= denom;
   }
 }
 }  // namespace
@@ -362,16 +443,10 @@ Tensor attention_forward(const Tensor& qkv, i64 batch, i64 seq, int heads) {
       const int hd = static_cast<int>(w % heads);
       const i64 row0 = b * seq;
       panels.gather(qkv, nullptr, row0, seq, h, hd, dh);
-      head_probs_packed(panels.q.data(), panels.k.data(), seq, dh, probs);
+      head_probs_packed(panels, seq, dh, probs);
       for (i64 i = 0; i < seq; ++i) {
-        for (i64 c = 0; c < dh; ++c) {
-          double acc = 0;
-          for (i64 j = 0; j <= i; ++j) {
-            acc += probs[static_cast<std::size_t>(i * seq + j)] *
-                   panels.v[static_cast<std::size_t>(j * dh + c)];
-          }
-          ctx.at(row0 + i, hd * dh + c) = static_cast<float>(acc);
-        }
+        fold_cols(probs.data() + i * seq, 1, panels.v.data(), i + 1, dh,
+                  &ctx.at(row0 + i, hd * dh));
       }
     }
   });
@@ -386,69 +461,41 @@ Tensor attention_backward(const Tensor& dctx, const Tensor& qkv, i64 batch,
   Tensor dqkv({batch * seq, 3 * h});
   par::parallel_for(batch * heads, 1, [&](i64 w0, i64 w1, i64) {
     HeadPanels panels;
-    std::vector<double> probs, dprobs, dscores;
+    // [seq, seq] buffers of which only the lower triangle is used.
+    std::vector<double> probs, dprobs(static_cast<std::size_t>(seq * seq)),
+        dscores(static_cast<std::size_t>(seq * seq));
     for (i64 w = w0; w < w1; ++w) {
       const i64 b = w / heads;
       const int hd = static_cast<int>(w % heads);
       const i64 row0 = b * seq;
       panels.gather(qkv, &dctx, row0, seq, h, hd, dh);
-      head_probs_packed(panels.q.data(), panels.k.data(), seq, dh, probs);
-      dprobs.assign(static_cast<std::size_t>(seq * seq), 0.0);
-      dscores.assign(static_cast<std::size_t>(seq * seq), 0.0);
-      // dV and dP.
+      head_probs_packed(panels, seq, dh, probs);
+      // dP and dV.
       for (i64 i = 0; i < seq; ++i) {
-        for (i64 j = 0; j <= i; ++j) {
-          double dp = 0;
-          for (i64 c = 0; c < dh; ++c) {
-            dp += static_cast<double>(panels.dc[static_cast<std::size_t>(i * dh + c)]) *
-                  panels.v[static_cast<std::size_t>(j * dh + c)];
-          }
-          dprobs[static_cast<std::size_t>(i * seq + j)] = dp;
-        }
+        row_dots(panels.dc.data() + i * dh, panels.vt.data(), seq, i + 1, dh,
+                 dprobs.data() + i * seq);
       }
       for (i64 j = 0; j < seq; ++j) {
-        for (i64 c = 0; c < dh; ++c) {
-          double acc = 0;
-          for (i64 i = j; i < seq; ++i) {
-            acc += probs[static_cast<std::size_t>(i * seq + j)] *
-                   panels.dc[static_cast<std::size_t>(i * dh + c)];
-          }
-          dqkv.at(row0 + j, 2 * h + hd * dh + c) = static_cast<float>(acc);
-        }
+        fold_cols(probs.data() + j * seq + j, seq, panels.dc.data() + j * dh,
+                  seq - j, dh, &dqkv.at(row0 + j, 2 * h + hd * dh));
       }
       // Softmax backward per query row.
       for (i64 i = 0; i < seq; ++i) {
+        const double* p = probs.data() + i * seq;
+        const double* dp = dprobs.data() + i * seq;
         double dot = 0;
-        for (i64 j = 0; j <= i; ++j) {
-          dot += dprobs[static_cast<std::size_t>(i * seq + j)] *
-                 probs[static_cast<std::size_t>(i * seq + j)];
-        }
-        for (i64 j = 0; j <= i; ++j) {
-          const double pv = probs[static_cast<std::size_t>(i * seq + j)];
-          dscores[static_cast<std::size_t>(i * seq + j)] =
-              pv * (dprobs[static_cast<std::size_t>(i * seq + j)] - dot) * scl;
-        }
+        for (i64 j = 0; j <= i; ++j) dot += dp[j] * p[j];
+        double* ds = dscores.data() + i * seq;
+        for (i64 j = 0; j <= i; ++j) ds[j] = p[j] * (dp[j] - dot) * scl;
       }
       // dQ and dK.
       for (i64 i = 0; i < seq; ++i) {
-        for (i64 c = 0; c < dh; ++c) {
-          double acc = 0;
-          for (i64 j = 0; j <= i; ++j) {
-            acc += dscores[static_cast<std::size_t>(i * seq + j)] *
-                   panels.k[static_cast<std::size_t>(j * dh + c)];
-          }
-          dqkv.at(row0 + i, hd * dh + c) = static_cast<float>(acc);
-        }
+        fold_cols(dscores.data() + i * seq, 1, panels.k.data(), i + 1, dh,
+                  &dqkv.at(row0 + i, hd * dh));
       }
       for (i64 j = 0; j < seq; ++j) {
-        for (i64 c = 0; c < dh; ++c) {
-          double acc = 0;
-          for (i64 i = j; i < seq; ++i) {
-            acc += dscores[static_cast<std::size_t>(i * seq + j)] *
-                   panels.q[static_cast<std::size_t>(i * dh + c)];
-          }
-          dqkv.at(row0 + j, h + hd * dh + c) = static_cast<float>(acc);
-        }
+        fold_cols(dscores.data() + j * seq + j, seq, panels.q.data() + j * dh,
+                  seq - j, dh, &dqkv.at(row0 + j, h + hd * dh));
       }
     }
   });

@@ -2,6 +2,11 @@
 
 #include <cmath>
 
+// Never fuse a multiply and an add into one rounding: the pooled kernels and
+// the oracle must round every product and every sum alike under any -march.
+// A pragma, not a build flag, so that every build of these sources gets it.
+#pragma GCC optimize("fp-contract=off")
+
 // Serial reference kernels: byte-for-byte the pre-pool implementations.
 // These are the oracle the pooled kernels in ops.cpp are tested against —
 // any change here must be mirrored there to keep the bit-identity contract.

@@ -345,27 +345,27 @@ int Table::try_move(int rank, int from, int to) {
 }
 
 std::uint64_t Table::fingerprint() const {
-  // FNV-1a over the payload identity and order of every cell. Op ids alone
-  // would collide across regeneration mutations (a rebuilt schedule reuses
-  // the same dense ids for different ops), so the payload fields that
-  // distinguish those are mixed in too.
-  std::uint64_t h = 1469598103934665603ull;
+  // The payload identity and order of every cell, packed losslessly into two
+  // words per cell, each mixed in with one 64-bit multiply-xorshift step. Op
+  // ids alone would collide across regeneration mutations (a rebuilt
+  // schedule reuses the same dense ids for different ops), so the payload
+  // fields that distinguish those are mixed in too.
+  std::uint64_t h = 0x9e3779b97f4a7c15ull;
   const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
+    h = (h ^ v) * 0xbf58476d1ce4e5b9ull;
+    h ^= h >> 31;
   };
-  mix(static_cast<std::uint64_t>(rows_.size()));
+  mix(rows_.size());
   for (const auto& row : rows_) {
-    mix(static_cast<std::uint64_t>(row.size()));
+    mix(row.size());
     for (const Cell& c : row) {
-      mix(static_cast<std::uint64_t>(c.op.id));
-      mix(static_cast<std::uint64_t>(c.op.kind));
-      mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(c.op.mb)));
-      mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(c.op.layer)));
-      mix(static_cast<std::uint64_t>(c.op.combines_w ? 1 : 2));
-      mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(c.op.tag)));
+      const core::Op& op = c.op;
+      mix(std::uint64_t{static_cast<std::uint32_t>(op.id)} << 32 |
+          static_cast<std::uint32_t>(op.tag));
+      mix(std::uint64_t{static_cast<std::uint16_t>(op.mb)} << 48 |
+          std::uint64_t{static_cast<std::uint16_t>(op.layer)} << 32 |
+          std::uint64_t{static_cast<std::uint8_t>(op.kind)} << 8 |
+          (op.combines_w ? 1u : 0u));
     }
   }
   return h;

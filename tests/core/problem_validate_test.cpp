@@ -80,6 +80,33 @@ TEST(ValidateProblem, RejectsNonPositiveLayers) {
       {"GPipe", "L=0", ">= 1"});
 }
 
+TEST(ValidateProblem, RejectsShapesBeyondTheIrLimit) {
+  // Op::stage, mb and layer are 16-bit. A larger shape must be refused
+  // before any builder allocates for it, naming the field.
+  const int over = core::kMaxShape + 1;
+  const std::string bound = std::to_string(core::kMaxShape);
+  expect_rejection(
+      [&] {
+        core::validate_problem(problem(over, 2, over),
+                               core::layerwise_requirements("1F1B"));
+      },
+      {"1F1B", "stages p=" + std::to_string(over), bound});
+  expect_rejection(
+      [] {
+        core::validate_problem(problem(2, 99999999, 2),
+                               core::layerwise_requirements("1F1B"));
+      },
+      {"1F1B", "micro batches m=99999999", bound});
+  expect_rejection(
+      [&] {
+        core::validate_problem(problem(2, 2, over),
+                               core::layerwise_requirements("GPipe"));
+      },
+      {"GPipe", "layers L=" + std::to_string(over), bound});
+  EXPECT_NO_THROW(core::validate_problem(problem(1, core::kMaxShape, 1),
+                                         core::layerwise_requirements("1F1B")));
+}
+
 TEST(Builders1F1B, RejectIndivisibleLayers) {
   expect_rejection([] { schedules::build_1f1b(problem(4, 4, 10)); },
                    {"1F1B", "L=10", "p=4", "multiple of 4", "4, 8, 12"});

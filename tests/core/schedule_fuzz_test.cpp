@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <stdexcept>
 
 #include "core/cost.h"
 #include "core/filo.h"
@@ -108,26 +109,32 @@ TEST(ScheduleFuzz, AllGeneratorsOnRandomShapes) {
 // Regression: the zero-bubble planner's stall guard computed its step budget
 // as `64 * 3 * p * m` in int, which wraps negative once p*m exceeds ~11.2M
 // and made the guard trip instantly ("planner stalled") on shapes that are
-// perfectly schedulable. Now computed in long long. This shape keeps p small
-// so the event-driven construction itself stays cheap while 192 * p * m =
-// 2.17e9 still overflows the old int arithmetic.
+// perfectly schedulable. Now computed in long long. validate_problem bounds
+// m by core::kMaxShape (Op::mb is 16-bit), so the old p = 2, m = 5.65M shape
+// is refused before the planner allocates, and reaching the old overflow now
+// needs p >= 342, which keeps the O(p^2 m) greedy loop busy for over a
+// minute. So this plans the largest m the IR admits at p = 2, and checks the
+// refusal of the old shape.
 TEST(ScheduleFuzz, Zb1pStallGuardSurvivesHugeShapes) {
   core::PipelineProblem pr;
   pr.p = 2;
-  pr.m = 5'650'000;
+  pr.m = core::kMaxShape;
   pr.L = 2;
   pr.comm.boundary = 1;
   pr.comm.pre_to_attn = 1;
   pr.comm.attn_to_post = 1;
   pr.include_lm_head = false;
   const core::UnitCostModel cost;
-  // Planning only — emitting and simulating 34M ops is wasteful here; the
+  // Planning only — emitting and simulating 200k ops is wasteful here; the
   // regression was that plan_zb1p threw before producing a plan at all.
   const auto plan = schedules::plan_zb1p(pr, cost, {});
   ASSERT_EQ(static_cast<int>(plan.steps.size()), pr.p);
   std::size_t total = 0;
   for (const auto& s : plan.steps) total += s.size();
   EXPECT_EQ(total, 3u * static_cast<unsigned>(pr.p) * static_cast<unsigned>(pr.m));
+
+  pr.m = 5'650'000;
+  EXPECT_THROW(schedules::plan_zb1p(pr, cost, {}), std::invalid_argument);
 }
 
 TEST(ScheduleFuzz, HelixAlwaysBeats1F1BWhenAttentionDominates) {
