@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "par/thread_pool.h"
@@ -11,18 +12,20 @@
 // A pragma, not a build flag, so that every build of these sources gets it.
 #pragma GCC optimize("fp-contract=off")
 
-// Pooled, cache-blocked kernels. Every kernel here is BIT-IDENTICAL to its
+// Pooled, register-blocked kernels. Every kernel here is BIT-IDENTICAL to its
 // serial counterpart in ops_ref.cpp for any HELIX_THREADS value:
 //  * the index space is split by a fixed grain (a function of the problem
 //    shape only, never the thread count), and chunks write disjoint outputs;
-//  * each output element keeps its exact serial accumulation order (matmul
-//    folds k ascending per element; attention processes one (batch, head)
-//    exactly as the serial code does);
+//  * each output element keeps its exact serial accumulation order: it has
+//    its own double accumulator and folds its terms one at a time, in the
+//    oracle's ascending order. A register block holds many such folds side
+//    by side, so add latency no longer serialises the loop;
 //  * cross-row reductions (dgamma/dbeta, embedding grads) are COLUMN-parallel:
 //    a worker owns a disjoint column range and folds rows 0..n-1 in serial
 //    row order, so no partial-sum merge ever reorders float additions;
-//  * operand packing (transposed copies of matmul operands, per-head q/k/v
-//    gathers) only relocates bytes — the arithmetic stream is unchanged.
+//  * operand packing (matmul B panels, per-head k/v panels) only relocates
+//    values, widening floats to double exactly — the arithmetic stream is
+//    unchanged.
 namespace helix::tensor {
 
 namespace {
@@ -40,73 +43,78 @@ constexpr i64 kColGrain = 32;        ///< columns per column-reduction chunk
 constexpr i64 kElemGrain = 8192;     ///< elements per elementwise chunk
 constexpr i64 kCeRowGrain = 4;       ///< rows per cross-entropy chunk
 
-// Register tiles: independent double accumulators per block, each folding
-// its own output element in the oracle's order.
-constexpr i64 kMr = 1;         ///< matmul tile rows (kMatmulRowGrain % kMr == 0)
-constexpr i64 kNr = 8;         ///< matmul tile columns = width of one B panel
-constexpr i64 kDotRows = 4;    ///< attention key rows per row_dots block
-constexpr i64 kFoldCols = 8;   ///< attention head columns per fold_cols block
-static_assert(kMatmulRowGrain % kMr == 0);
+// Register blocks: how many independent folds run side by side.
+constexpr i64 kNr = 8;        ///< outputs per panel_dots block = panel width
+constexpr i64 kFoldCols = 8;  ///< head columns per fold_cols/scatter_rows block
+
+/// Two double lanes, one SSE2 register. Lane-wise * and + round exactly as
+/// scalar double operations do, so a vector accumulator is two independent
+/// folds. Written out because GCC otherwise vectorizes these loops across
+/// the fold (with lane shuffles) or not at all, depending on -O level.
+using f64x2 = double __attribute__((vector_size(16)));
+f64x2 splat(double x) { return f64x2{x, x}; }
+f64x2 load2(const double* p) {
+  f64x2 v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
 
 /// A read-only [rows, cols] matrix view: element (r, c) at p[r * rs + c * cs].
-/// One strided view lets a single core serve all three matmul variants.
+/// One strided view lets one packer serve all three matmul variants and the
+/// attention key panels.
 struct Strided {
   const float* p;
   i64 rs, cs;
   float at(i64 r, i64 c) const { return p[r * rs + c * cs]; }
 };
 
-/// Rows [i0, i1) of C = A * B, with A row-major [m, k] and B packed as
-/// k-major panels of kNr columns (panel q holds B(t, q*kNr + jj) at
-/// bp[(q*k + t)*kNr + jj], zero past column n). Each kMr x kNr tile keeps one
-/// double accumulator per output element and folds t ascending, exactly as
-/// ref::matmul does. Out of line and aligned to a 64-byte cache line, so its
-/// loops sit at the same offsets within cache lines and decoded-instruction
-/// windows in every build: inlined into the pool lambda it moved with the
-/// size of unrelated code linked before it, and a 16-byte shift made
-/// short-sequence train steps ~15% slower.
-[[gnu::noinline, gnu::aligned(64)]] void matmul_block(
-    const float* a, const double* bp, i64 i0, i64 i1, i64 k, i64 n, float* out) {
-  for (i64 j0 = 0; j0 < n; j0 += kNr) {
-    const double* panel = bp + j0 * k;
-    const i64 cols = std::min(kNr, n - j0);
-    for (i64 i = i0; i < i1; i += kMr) {
-      const float* arow[kMr];
-      for (i64 r = 0; r < kMr; ++r) arow[r] = a + std::min(i + r, i1 - 1) * k;
-      double acc[kMr][kNr] = {};
-      for (i64 t = 0; t < k; ++t) {
-        const double* bt = panel + t * kNr;
-        for (i64 r = 0; r < kMr; ++r) {
-          const double av = arow[r][t];
-#pragma GCC unroll kNr
-          for (i64 jj = 0; jj < kNr; ++jj) acc[r][jj] += av * bt[jj];
-        }
-      }
-      for (i64 r = 0; r < kMr && i + r < i1; ++r) {
-        for (i64 jj = 0; jj < cols; ++jj) {
-          out[(i + r) * n + j0 + jj] = static_cast<float>(acc[r][jj]);
-        }
+/// Panels [q0, q1) of B(t, j), t < k and j < n, packed k-major in doubles:
+/// panel q holds B(t, q*kNr + jj) at dst[(q*k + t)*kNr + jj], zero past
+/// column n.
+void pack_panels(Strided b, i64 k, i64 n, i64 q0, i64 q1, double* dst) {
+  for (i64 q = q0; q < q1; ++q) {
+    for (i64 t = 0; t < k; ++t) {
+      for (i64 jj = 0; jj < kNr; ++jj) {
+        const i64 j = q * kNr + jj;
+        dst[(q * k + t) * kNr + jj] = j < n ? static_cast<double>(b.at(t, j)) : 0.0;
       }
     }
   }
 }
 
-/// C[m, n] = sum_t A(i, t) * B(t, j). B is packed into double panels (a
-/// float -> double conversion is exact, so this only relocates values), and
-/// A is packed row-major only when its rows are not contiguous (matmul_tn).
-void matmul_core(Strided a, Strided b, i64 m, i64 k, i64 n, Tensor& c) {
-  const i64 panels = (n + kNr - 1) / kNr;
-  std::vector<double> bp(static_cast<std::size_t>(panels * kNr * k));
-  par::parallel_for(panels, kPackGrain / kNr, [&](i64 q0, i64 q1, i64) {
-    for (i64 q = q0; q < q1; ++q) {
-      double* dst = bp.data() + q * kNr * k;
-      for (i64 t = 0; t < k; ++t) {
-        for (i64 jj = 0; jj < kNr; ++jj) {
-          const i64 j = q * kNr + jj;
-          dst[t * kNr + jj] = j < n ? static_cast<double>(b.at(t, j)) : 0.0;
-        }
-      }
+i64 panel_count(i64 n) { return (n + kNr - 1) / kNr; }
+
+/// out[j] = sum_t x[t] * B(t, j) for j in [0, n), B packed by pack_panels:
+/// one double fold per output, t ascending as in the oracle, kNr outputs at
+/// a time. The micro-kernel of matmul and of the attention score and dP
+/// dots. Out of line and aligned to a 64-byte cache line, so its loops sit
+/// at the same offsets within cache lines and decoded-instruction windows in
+/// every build: inlined into the pool lambda it moved with the size of
+/// unrelated code linked before it, and a 16-byte shift made short-sequence
+/// train steps ~15% slower.
+template <typename Out>
+[[gnu::noinline, gnu::aligned(64)]] void panel_dots(const float* x, const double* bp,
+                                                    i64 k, i64 n, Out* out) {
+  for (i64 j0 = 0; j0 < n; j0 += kNr) {
+    const double* panel = bp + j0 * k;
+    f64x2 acc[kNr / 2] = {};
+    for (i64 t = 0; t < k; ++t) {
+      const f64x2 xt = splat(x[t]);
+#pragma GCC unroll kNr
+      for (i64 v = 0; v < kNr / 2; ++v) acc[v] += xt * load2(panel + t * kNr + 2 * v);
     }
+    for (i64 jj = 0; jj < kNr && j0 + jj < n; ++jj) {
+      out[j0 + jj] = static_cast<Out>(acc[jj / 2][jj % 2]);
+    }
+  }
+}
+
+/// C[m, n] = sum_t A(i, t) * B(t, j), one panel_dots row at a time. A is
+/// packed row-major only when its rows are not contiguous (matmul_tn).
+void matmul_core(Strided a, Strided b, i64 m, i64 k, i64 n, Tensor& c) {
+  std::vector<double> bp(static_cast<std::size_t>(panel_count(n) * kNr * k));
+  par::parallel_for(panel_count(n), kPackGrain / kNr, [&](i64 q0, i64 q1, i64) {
+    pack_panels(b, k, n, q0, q1, bp.data());
   });
   std::vector<float> ap;
   const float* arows = a.p;
@@ -121,7 +129,7 @@ void matmul_core(Strided a, Strided b, i64 m, i64 k, i64 n, Tensor& c) {
   }
   float* out = c.data();
   par::parallel_for(m, kMatmulRowGrain, [&](i64 i0, i64 i1, i64) {
-    matmul_block(arows, bp.data(), i0, i1, k, n, out);
+    for (i64 i = i0; i < i1; ++i) panel_dots(arows + i * k, bp.data(), k, n, out + i * n);
   });
 }
 }  // namespace
@@ -328,101 +336,91 @@ Tensor gelu_backward(const Tensor& dy, const Tensor& x) {
 }
 
 namespace {
-/// Per-(batch, head) scratch: q/k/v (and optionally dctx) gathered out of the
-/// strided [b*s, 3h] qkv layout into contiguous [seq, dh] panels, plus k and
-/// v transposed to [dh, seq] for the key-row dots. Panels hold doubles: a
-/// float -> double conversion is exact, so this only relocates values, and
-/// the folds then read operands they need not convert.
+/// Per-(batch, head) scratch: k and v gathered out of the strided [b*s, 3h]
+/// qkv layout into contiguous [seq, dh] rows for the folds, and packed as
+/// pack_panels panels of K^T and V^T for the key-row dots. Query and dctx
+/// rows are read in place.
 struct HeadPanels {
-  std::vector<double> q, k, v, dc, kt, vt;
-  void gather(const Tensor& qkv, const Tensor* dctx, i64 row0, i64 seq,
-              i64 h, int hd, i64 dh) {
-    const auto n = static_cast<std::size_t>(seq * dh);
-    for (auto* p : {&q, &k, &v, &kt, &vt}) p->resize(n);
-    if (dctx != nullptr) dc.resize(n);
+  std::vector<double> k, v, kp, vp;
+  void gather(const Tensor& qkv, i64 row0, i64 seq, i64 h, int hd, i64 dh) {
+    const float* kbase = qkv.data() + row0 * 3 * h + h + hd * dh;
+    const float* vbase = kbase + h;
+    k.resize(static_cast<std::size_t>(seq * dh));
+    v.resize(k.size());
     for (i64 i = 0; i < seq; ++i) {
-      const float* row = qkv.data() + (row0 + i) * 3 * h + hd * dh;
-      const float* drow = dctx != nullptr ? dctx->data() + (row0 + i) * h + hd * dh : nullptr;
       for (i64 c = 0; c < dh; ++c) {
-        const auto at = static_cast<std::size_t>(i * dh + c);
-        const auto tr = static_cast<std::size_t>(c * seq + i);
-        q[at] = row[c];
-        k[at] = kt[tr] = row[h + c];
-        v[at] = vt[tr] = row[2 * h + c];
-        if (drow != nullptr) dc[at] = drow[c];
+        k[static_cast<std::size_t>(i * dh + c)] = kbase[i * 3 * h + c];
+        v[static_cast<std::size_t>(i * dh + c)] = vbase[i * 3 * h + c];
       }
     }
+    kp.resize(static_cast<std::size_t>(panel_count(seq) * kNr * dh));
+    vp.resize(kp.size());
+    pack_panels({kbase, 1, 3 * h}, dh, seq, 0, panel_count(seq), kp.data());
+    pack_panels({vbase, 1, 3 * h}, dh, seq, 0, panel_count(seq), vp.data());
   }
 };
 
-/// out[j] = sum_c x[c] * yt[c*ld + j] for j in [0, n): one double fold per
-/// output, c ascending as in the oracle, kDotRows key rows at a time so that
-/// independent folds are in flight.
-void row_dots(const double* x, const double* yt, i64 ld, i64 n, i64 dh,
-              double* out) {
-  i64 j = 0;
-  for (; j + kDotRows <= n; j += kDotRows) {
-    double acc[kDotRows] = {};
-    for (i64 c = 0; c < dh; ++c) {
-      const double* y = yt + c * ld + j;
-#pragma GCC unroll kDotRows
-      for (i64 jj = 0; jj < kDotRows; ++jj) acc[jj] += x[c] * y[jj];
-    }
-    for (i64 jj = 0; jj < kDotRows; ++jj) out[j + jj] = acc[jj];
-  }
-  for (; j < n; ++j) {
-    double acc = 0;
-    for (i64 c = 0; c < dh; ++c) acc += x[c] * yt[c * ld + j];
-    out[j] = acc;
-  }
-}
-
-/// out[c] = sum_r w[r*ws] * ys[r*dh + c] for c in [0, dh), rounded to float:
+/// out[c] = sum_r w[r] * ys[r*dh + c] for c in [0, dh), rounded to float:
 /// one double fold per output, r ascending as in the oracle, kFoldCols
 /// columns at a time.
-void fold_cols(const double* w, i64 ws, const double* ys, i64 rows, i64 dh,
-               float* out) {
+void fold_cols(const double* w, const double* ys, i64 rows, i64 dh, float* out) {
   i64 c = 0;
   for (; c + kFoldCols <= dh; c += kFoldCols) {
-    double acc[kFoldCols] = {};
+    f64x2 acc[kFoldCols / 2] = {};
     for (i64 r = 0; r < rows; ++r) {
-      const double wr = w[r * ws];
-      const double* y = ys + r * dh + c;
+      const f64x2 wr = splat(w[r]);
 #pragma GCC unroll kFoldCols
-      for (i64 cc = 0; cc < kFoldCols; ++cc) acc[cc] += wr * y[cc];
+      for (i64 v = 0; v < kFoldCols / 2; ++v) acc[v] += wr * load2(ys + r * dh + c + 2 * v);
     }
-    for (i64 cc = 0; cc < kFoldCols; ++cc) out[c + cc] = static_cast<float>(acc[cc]);
+    for (i64 cc = 0; cc < kFoldCols; ++cc) out[c + cc] = static_cast<float>(acc[cc / 2][cc % 2]);
   }
   for (; c < dh; ++c) {
     double acc = 0;
-    for (i64 r = 0; r < rows; ++r) acc += w[r * ws] * ys[r * dh + c];
+    for (i64 r = 0; r < rows; ++r) acc += w[r] * ys[r * dh + c];
     out[c] = static_cast<float>(acc);
   }
 }
 
-/// Causal softmax probabilities from packed q/k panels; the arithmetic stream
-/// (dot fold order, max, exp, normalize) matches ref::head_probs exactly.
-/// Only the lower triangle (j <= i) of the [seq, seq] buffer is written, and
-/// only it is ever read.
-void head_probs_packed(const HeadPanels& panels, i64 seq, i64 dh,
-                       std::vector<double>& probs) {
-  const double scl = 1.0 / std::sqrt(static_cast<double>(dh));
-  probs.resize(static_cast<std::size_t>(seq * seq));
-  for (i64 i = 0; i < seq; ++i) {
-    double* row = probs.data() + i * seq;
-    row_dots(panels.q.data() + i * dh, panels.kt.data(), seq, i + 1, dh, row);
-    double maxv = -1e300;
-    for (i64 j = 0; j <= i; ++j) {
-      row[j] *= scl;
-      maxv = std::max(maxv, row[j]);
+/// acc[r*dh + c] += w[r] * x[c] for r in [0, rows) and c in [0, dh): the
+/// next term, in the oracle's order, of rows * dh folds whose accumulators
+/// live in memory; kFoldCols columns of x stay in registers.
+void scatter_rows(const double* w, i64 rows, const float* x, i64 dh, double* acc) {
+  i64 c = 0;
+  for (; c + kFoldCols <= dh; c += kFoldCols) {
+    f64x2 xc[kFoldCols / 2];
+    for (i64 v = 0; v < kFoldCols / 2; ++v) xc[v] = f64x2{x[c + 2 * v], x[c + 2 * v + 1]};
+    for (i64 r = 0; r < rows; ++r) {
+      double* a = acc + r * dh + c;
+      const f64x2 wr = splat(w[r]);
+#pragma GCC unroll kFoldCols
+      for (i64 v = 0; v < kFoldCols / 2; ++v) {
+        const f64x2 sum = load2(a + 2 * v) + wr * xc[v];
+        std::memcpy(a + 2 * v, &sum, sizeof sum);
+      }
     }
-    double denom = 0;
-    for (i64 j = 0; j <= i; ++j) {
-      row[j] = std::exp(row[j] - maxv);
-      denom += row[j];
-    }
-    for (i64 j = 0; j <= i; ++j) row[j] /= denom;
   }
+  for (; c < dh; ++c) {
+    for (i64 r = 0; r < rows; ++r) acc[r * dh + c] += w[r] * static_cast<double>(x[c]);
+  }
+}
+
+/// Causal softmax probabilities of query row q, p[j] for j < n, from the
+/// key panels; the arithmetic stream (dot fold order, max, exp, normalize)
+/// matches ref::head_probs exactly.
+void probs_row(const float* q, const HeadPanels& panels, i64 n, i64 dh, double* p) {
+  const double scl = 1.0 / std::sqrt(static_cast<double>(dh));
+  panel_dots(q, panels.kp.data(), dh, n, p);
+  double maxv = -1e300;
+  for (i64 j = 0; j < n; ++j) {
+    p[j] *= scl;
+    maxv = std::max(maxv, p[j]);
+  }
+  double denom = 0;
+  for (i64 j = 0; j < n; ++j) {
+    p[j] = std::exp(p[j] - maxv);
+    denom += p[j];
+  }
+  for (i64 j = 0; j < n; ++j) p[j] /= denom;
 }
 }  // namespace
 
@@ -434,19 +432,18 @@ Tensor attention_forward(const Tensor& qkv, i64 batch, i64 seq, int heads) {
   const i64 dh = h / heads;
   Tensor ctx({batch * seq, h});
   // One chunk per (batch, head): chunks write disjoint ctx columns, and each
-  // head is computed exactly as in the serial kernel.
+  // head is computed exactly as in the serial kernel, one query row at a time.
   par::parallel_for(batch * heads, 1, [&](i64 w0, i64 w1, i64) {
     HeadPanels panels;
-    std::vector<double> probs;
+    std::vector<double> p(static_cast<std::size_t>(seq));
     for (i64 w = w0; w < w1; ++w) {
       const i64 b = w / heads;
       const int hd = static_cast<int>(w % heads);
       const i64 row0 = b * seq;
-      panels.gather(qkv, nullptr, row0, seq, h, hd, dh);
-      head_probs_packed(panels, seq, dh, probs);
+      panels.gather(qkv, row0, seq, h, hd, dh);
       for (i64 i = 0; i < seq; ++i) {
-        fold_cols(probs.data() + i * seq, 1, panels.v.data(), i + 1, dh,
-                  &ctx.at(row0 + i, hd * dh));
+        probs_row(qkv.data() + (row0 + i) * 3 * h + hd * dh, panels, i + 1, dh, p.data());
+        fold_cols(p.data(), panels.v.data(), i + 1, dh, &ctx.at(row0 + i, hd * dh));
       }
     }
   });
@@ -459,43 +456,38 @@ Tensor attention_backward(const Tensor& dctx, const Tensor& qkv, i64 batch,
   const i64 dh = h / heads;
   const double scl = 1.0 / std::sqrt(static_cast<double>(dh));
   Tensor dqkv({batch * seq, 3 * h});
+  // One query row at a time. dQ of row i folds over its own keys; dV and dK
+  // of key j fold over query rows i >= j, so their accumulators live in
+  // [seq, dh] buffers and each row i adds its term, in ascending i as the
+  // oracle's fold does.
   par::parallel_for(batch * heads, 1, [&](i64 w0, i64 w1, i64) {
     HeadPanels panels;
-    // [seq, seq] buffers of which only the lower triangle is used.
-    std::vector<double> probs, dprobs(static_cast<std::size_t>(seq * seq)),
-        dscores(static_cast<std::size_t>(seq * seq));
+    std::vector<double> p(static_cast<std::size_t>(seq)), ds(p.size()), dv, dk;
     for (i64 w = w0; w < w1; ++w) {
       const i64 b = w / heads;
       const int hd = static_cast<int>(w % heads);
       const i64 row0 = b * seq;
-      panels.gather(qkv, &dctx, row0, seq, h, hd, dh);
-      head_probs_packed(panels, seq, dh, probs);
-      // dP and dV.
+      panels.gather(qkv, row0, seq, h, hd, dh);
+      dv.assign(static_cast<std::size_t>(seq * dh), 0.0);
+      dk.assign(dv.size(), 0.0);
       for (i64 i = 0; i < seq; ++i) {
-        row_dots(panels.dc.data() + i * dh, panels.vt.data(), seq, i + 1, dh,
-                 dprobs.data() + i * seq);
-      }
-      for (i64 j = 0; j < seq; ++j) {
-        fold_cols(probs.data() + j * seq + j, seq, panels.dc.data() + j * dh,
-                  seq - j, dh, &dqkv.at(row0 + j, 2 * h + hd * dh));
-      }
-      // Softmax backward per query row.
-      for (i64 i = 0; i < seq; ++i) {
-        const double* p = probs.data() + i * seq;
-        const double* dp = dprobs.data() + i * seq;
+        const float* qi = qkv.data() + (row0 + i) * 3 * h + hd * dh;
+        const float* dci = dctx.data() + (row0 + i) * h + hd * dh;
+        probs_row(qi, panels, i + 1, dh, p.data());
+        panel_dots(dci, panels.vp.data(), dh, i + 1, ds.data());  // dP
         double dot = 0;
-        for (i64 j = 0; j <= i; ++j) dot += dp[j] * p[j];
-        double* ds = dscores.data() + i * seq;
-        for (i64 j = 0; j <= i; ++j) ds[j] = p[j] * (dp[j] - dot) * scl;
-      }
-      // dQ and dK.
-      for (i64 i = 0; i < seq; ++i) {
-        fold_cols(dscores.data() + i * seq, 1, panels.k.data(), i + 1, dh,
-                  &dqkv.at(row0 + i, hd * dh));
+        for (i64 j = 0; j <= i; ++j) dot += ds[j] * p[j];
+        for (i64 j = 0; j <= i; ++j) ds[j] = p[j] * (ds[j] - dot) * scl;
+        fold_cols(ds.data(), panels.k.data(), i + 1, dh, &dqkv.at(row0 + i, hd * dh));
+        scatter_rows(p.data(), i + 1, dci, dh, dv.data());
+        scatter_rows(ds.data(), i + 1, qi, dh, dk.data());
       }
       for (i64 j = 0; j < seq; ++j) {
-        fold_cols(dscores.data() + j * seq + j, seq, panels.q.data() + j * dh,
-                  seq - j, dh, &dqkv.at(row0 + j, h + hd * dh));
+        for (i64 c = 0; c < dh; ++c) {
+          const auto at = static_cast<std::size_t>(j * dh + c);
+          dqkv.at(row0 + j, h + hd * dh + c) = static_cast<float>(dk[at]);
+          dqkv.at(row0 + j, 2 * h + hd * dh + c) = static_cast<float>(dv[at]);
+        }
       }
     }
   });
