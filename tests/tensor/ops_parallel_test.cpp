@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -29,18 +30,39 @@ class OpsParallelTest : public ::testing::TestWithParam<int> {
   void TearDown() override { par::set_global_threads(1); }
 };
 
+// Uniform [-1, 1] data alone cannot tell a fold order from another: a double
+// fold of a few hundred such products is nearly always order-blind once
+// rounded to float. So every oracle check also runs on "cancelling" data:
+// two terms of +-2^40 that cancel exactly bracket the small ones. While
+// the big term is in the accumulator the small terms are rounded to its
+// 2^-12 ulp, and which ones are rounded depends on the fold order, so a
+// reordered fold changes the float result.
+constexpr float kBig = 1048576.0f;  // 2^20
+
 /// Every matmul variant on C = [m, n], k deep, against its oracle.
 void expect_matmuls_match(i64 m, i64 k, i64 n, std::uint64_t seed) {
   SCOPED_TRACE("m=" + std::to_string(m) + " k=" + std::to_string(k) +
                " n=" + std::to_string(n));
   Tensor a({m, k}), b({k, n}), at({k, m}), bt({n, k});
-  fill_uniform(a, seed);
-  fill_uniform(b, seed + 1);
-  fill_uniform(at, seed + 2);
-  fill_uniform(bt, seed + 3);
-  expect_bits_equal(matmul(a, b), ref::matmul(a, b), "matmul");
-  expect_bits_equal(matmul_tn(at, b), ref::matmul_tn(at, b), "matmul_tn");
-  expect_bits_equal(matmul_nt(a, bt), ref::matmul_nt(a, bt), "matmul_nt");
+  for (const bool cancelling : {false, true}) {
+    SCOPED_TRACE(cancelling ? "cancelling" : "uniform");
+    fill_uniform(a, seed);
+    fill_uniform(b, seed + 1);
+    fill_uniform(at, seed + 2);
+    fill_uniform(bt, seed + 3);
+    if (cancelling && k >= 2) {
+      // A(i, t1) = A(i, t2) = 2^20, B(t1, j) = 2^20 and B(t2, j) = -2^20.
+      const i64 t1 = k / 3, t2 = std::max(t1 + 1, k - 1 - k / 3);
+      for (i64 i = 0; i < m; ++i) a.at(i, t1) = a.at(i, t2) = at.at(t1, i) = at.at(t2, i) = kBig;
+      for (i64 j = 0; j < n; ++j) {
+        b.at(t1, j) = bt.at(j, t1) = kBig;
+        b.at(t2, j) = bt.at(j, t2) = -kBig;
+      }
+    }
+    expect_bits_equal(matmul(a, b), ref::matmul(a, b), "matmul");
+    expect_bits_equal(matmul_tn(at, b), ref::matmul_tn(at, b), "matmul_tn");
+    expect_bits_equal(matmul_nt(a, bt), ref::matmul_nt(a, bt), "matmul_nt");
+  }
 }
 
 TEST_P(OpsParallelTest, MatmulVariantsMatchReferenceBitwise) {
@@ -112,7 +134,8 @@ TEST_P(OpsParallelTest, GeluMatchesReferenceBitwise) {
   expect_bits_equal(gelu_backward(dy, x), ref::gelu_backward(dy, x), "gelu bwd");
 }
 
-/// Attention forward and backward on one shape against the oracle.
+/// Attention forward and backward on one shape against the oracle, on
+/// uniform data and on two kinds of cancelling data.
 void expect_attention_matches(i64 batch, i64 seq, int heads, i64 dh,
                               std::uint64_t seed) {
   SCOPED_TRACE("batch=" + std::to_string(batch) + " seq=" + std::to_string(seq) +
@@ -120,13 +143,50 @@ void expect_attention_matches(i64 batch, i64 seq, int heads, i64 dh,
   const i64 h = dh * heads;
   Tensor qkv({batch * seq, 3 * h});
   Tensor dctx({batch * seq, h});
-  fill_uniform(qkv, seed);
-  fill_uniform(dctx, seed + 1);
-  expect_bits_equal(attention_forward(qkv, batch, seq, heads),
-                    ref::attention_forward(qkv, batch, seq, heads), "attention fwd");
-  expect_bits_equal(attention_backward(dctx, qkv, batch, seq, heads),
-                    ref::attention_backward(dctx, qkv, batch, seq, heads),
-                    "attention bwd");
+  for (const char* data : {"uniform", "cancelling dots", "flat softmax"}) {
+    SCOPED_TRACE(data);
+    fill_uniform(qkv, seed);
+    fill_uniform(dctx, seed + 1);
+    for (i64 r = 0; r < batch * seq; ++r) {
+      if (data[0] == 'c' && dh >= 2) {
+        // Per head, columns c1 and c2 of q and dctx are 2^20, and those of
+        // k and v are +2^20 and -2^20: the score and dP dots cancel their
+        // big terms, and dQ's big columns sum the row's score gradients,
+        // which cancel to about zero. Keys 0 and 1 are equal, so their
+        // probabilities are equal, and v rows 0 and 1 are +-2^20: the ctx
+        // folds cancel too.
+        for (int hd = 0; hd < heads; ++hd) {
+          for (const i64 c : {hd * dh, hd * dh + dh - 1}) {
+            const float sign = c == hd * dh ? 1.0f : -1.0f;
+            qkv.at(r, c) = dctx.at(r, c) = kBig;
+            qkv.at(r, h + c) = qkv.at(r, 2 * h + c) = sign * kBig;
+          }
+        }
+        if (r % seq == 1) {
+          for (i64 c = 0; c < h; ++c) {
+            qkv.at(r, h + c) = qkv.at(r - 1, h + c);
+            qkv.at(r - 1, 2 * h + c) = kBig;
+            qkv.at(r, 2 * h + c) = -kBig;
+          }
+        }
+      }
+      if (data[0] == 'f') {
+        // Zero keys give row i the exact probabilities 1/(i+1) for rows 1
+        // and 3, so dctx rows 1 and 3 of 2^21 and -2^22 add dV terms of
+        // exactly +2^20 and -2^20 for keys 0 and 1: the dV folds over
+        // query rows cancel.
+        for (i64 c = 0; c < h; ++c) qkv.at(r, h + c) = 0.0f;
+        if (seq >= 4 && (r % seq == 1 || r % seq == 3)) {
+          for (i64 c = 0; c < h; ++c) dctx.at(r, c) = r % seq == 1 ? 2 * kBig : -4 * kBig;
+        }
+      }
+    }
+    expect_bits_equal(attention_forward(qkv, batch, seq, heads),
+                      ref::attention_forward(qkv, batch, seq, heads), "attention fwd");
+    expect_bits_equal(attention_backward(dctx, qkv, batch, seq, heads),
+                      ref::attention_backward(dctx, qkv, batch, seq, heads),
+                      "attention bwd");
+  }
 }
 
 TEST_P(OpsParallelTest, AttentionMatchesReferenceBitwise) {
