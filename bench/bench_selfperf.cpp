@@ -1,9 +1,10 @@
 // Self-performance baselines: how fast is the *infrastructure* itself —
-// schedule construction, simulation + critical-path analysis, and k steps of
-// numerical pipeline training — across a fixed configuration grid. Emits
-// BENCH_selfperf.json (schema below) whose stable metric keys let
-// tools/perf_compare diff two runs and flag regressions; the committed
-// baseline at the repo root is the reference point CI compares against.
+// schedule construction, simulation + critical-path analysis, the tensor
+// kernels, and k steps of numerical pipeline training — across a fixed
+// configuration grid. Emits BENCH_selfperf.json (schema below) whose stable
+// metric keys let tools/perf_compare diff two runs and flag regressions; the
+// committed baseline at the repo root is the reference point CI compares
+// against.
 //
 //   bench_selfperf [--quick] [--json FILE]
 //     --quick   smaller grid + fewer reps (the CI configuration)
@@ -45,11 +46,13 @@
 #include "nn/model.h"
 #include "obs/health.h"
 #include "obs/prof.h"
+#include "par/thread_pool.h"
 #include "runtime/trainer.h"
 #include "schedules/registry.h"
 #include "sim/critical_path.h"
 #include "sim/simulator.h"
 #include "sim/sweep.h"
+#include "tensor/ops.h"
 #include "tune/search.h"
 #include "tune/table.h"
 
@@ -317,6 +320,70 @@ void bench_tune(Harness& h, obs::prof::Registry& reg) {
               rep.generations_run, rep.best.outcome.total_bubble);
 }
 
+// The tensor kernels on the mini-GPT train shapes, on one thread: every
+// matmul variant on the qkv, MLP and LM-head shapes (m x k x n), and
+// attention forward and backward at the two perfbench sequence lengths
+// (h = 32, 4 heads). Unlike train/, no rank or comm thread runs, so these
+// keys are as stable as build/ and ride CI's gate. Each rep calls the
+// kernel `calls` times so that a rep lasts about a millisecond.
+void bench_kernel(Harness& h, obs::prof::Registry& reg) {
+  reg.set_phase("kernel");
+  std::printf("tensor kernels (train shapes, 1 thread)\n");
+  par::set_global_threads(1);
+  using tensor::Tensor;
+  const auto repeat = [](int calls, const std::function<float()>& fn) {
+    return [calls, fn] {
+      float sink = 0;
+      for (int i = 0; i < calls; ++i) sink += fn();
+      if (sink != sink) std::abort();  // keep the results observable
+    };
+  };
+  const tensor::i64 shapes[][3] = {
+      {256, 32, 96}, {128, 32, 128}, {128, 128, 32}, {8, 32, 128}, {128, 8, 32}};
+  for (const auto& s : shapes) {
+    const tensor::i64 m = s[0], k = s[1], n = s[2];
+    Tensor a({m, k}), b({k, n}), at({k, m}), bt({n, k});
+    tensor::fill_uniform(a, 1);
+    tensor::fill_uniform(b, 2);
+    tensor::fill_uniform(at, 3);
+    tensor::fill_uniform(bt, 4);
+    const int calls = static_cast<int>(std::max<tensor::i64>(1, 4'000'000 / (m * k * n)));
+    char key[128];
+    std::snprintf(key, sizeof(key), "kernel/matmul/m%lld_k%lld_n%lld",
+                  static_cast<long long>(m), static_cast<long long>(k),
+                  static_cast<long long>(n));
+    h.measure(key, repeat(calls, [&] { return tensor::matmul(a, b)[0]; }));
+    std::snprintf(key, sizeof(key), "kernel/matmul_tn/m%lld_k%lld_n%lld",
+                  static_cast<long long>(m), static_cast<long long>(k),
+                  static_cast<long long>(n));
+    h.measure(key, repeat(calls, [&] { return tensor::matmul_tn(at, b)[0]; }));
+    std::snprintf(key, sizeof(key), "kernel/matmul_nt/m%lld_k%lld_n%lld",
+                  static_cast<long long>(m), static_cast<long long>(k),
+                  static_cast<long long>(n));
+    h.measure(key, repeat(calls, [&] { return tensor::matmul_nt(a, bt)[0]; }));
+  }
+  for (const tensor::i64 seq : {16, 256}) {
+    const tensor::i64 hidden = 32;
+    const int heads = 4;
+    Tensor qkv({seq, 3 * hidden}), dctx({seq, hidden});
+    tensor::fill_uniform(qkv, 5);
+    tensor::fill_uniform(dctx, 6);
+    const int calls = seq < 64 ? 64 : 1;
+    char key[128];
+    std::snprintf(key, sizeof(key), "kernel/attention_fwd/seq%lld_h32_heads4",
+                  static_cast<long long>(seq));
+    h.measure(key, repeat(calls, [&] {
+      return tensor::attention_forward(qkv, 1, seq, heads)[0];
+    }));
+    std::snprintf(key, sizeof(key), "kernel/attention_bwd/seq%lld_h32_heads4",
+                  static_cast<long long>(seq));
+    h.measure(key, repeat(calls, [&] {
+      return tensor::attention_backward(dctx, qkv, 1, seq, heads)[0];
+    }));
+  }
+  par::set_global_threads(par::env_threads());
+}
+
 void bench_train(Harness& h, obs::prof::Registry& reg, bool quick) {
   reg.set_phase("train");
   std::printf("numerical training (mini-GPT, %d steps)\n", quick ? 1 : 2);
@@ -491,6 +558,7 @@ int main(int argc, char** argv) {
   bench_sweep(h, reg, pipeline_sizes, &sweep_naive_s, &sweep_batched_s);
   bench_paper_sweep(h, reg);
   bench_tune(h, reg);
+  bench_kernel(h, reg);
   bench_train(h, reg, quick);
   bench_train_health(h, reg, quick);
 
