@@ -37,7 +37,7 @@ constexpr double kGeluC = 0.7978845608028654;  // sqrt(2/pi)
 // Fixed parallel grains: shape-independent constants so the chunk partition
 // (and therefore every chunk-indexed reduction) never depends on thread count.
 constexpr i64 kMatmulRowGrain = 8;   ///< output rows per matmul chunk
-constexpr i64 kPackGrain = 64;       ///< rows (A) or columns (B) per packing chunk
+constexpr i64 kPackGrain = 64;       ///< B columns per matmul packing chunk
 constexpr i64 kRowGrain = 16;        ///< rows per layernorm/embedding chunk
 constexpr i64 kColGrain = 32;        ///< columns per column-reduction chunk
 constexpr i64 kElemGrain = 8192;     ///< elements per elementwise chunk
@@ -84,22 +84,22 @@ void pack_panels(Strided b, i64 k, i64 n, i64 q0, i64 q1, double* dst) {
 
 i64 panel_count(i64 n) { return (n + kNr - 1) / kNr; }
 
-/// out[j] = sum_t x[t] * B(t, j) for j in [0, n), B packed by pack_panels:
-/// one double fold per output, t ascending as in the oracle, kNr outputs at
-/// a time. The micro-kernel of matmul and of the attention score and dP
-/// dots. Out of line and aligned to a 64-byte cache line, so its loops sit
+/// out[j] = sum_t x[t * xs] * B(t, j) for j in [0, n), B packed by
+/// pack_panels: one double fold per output, t ascending as in the oracle,
+/// kNr outputs at a time. The micro-kernel of matmul and of the attention
+/// score and dP dots. Out of line and aligned to a 64-byte cache line, so its loops sit
 /// at the same offsets within cache lines and decoded-instruction windows in
 /// every build: inlined into the pool lambda it moved with the size of
 /// unrelated code linked before it, and a 16-byte shift made short-sequence
 /// train steps ~15% slower.
 template <typename Out>
-[[gnu::noinline, gnu::aligned(64)]] void panel_dots(const float* x, const double* bp,
+[[gnu::noinline, gnu::aligned(64)]] void panel_dots(const float* x, i64 xs, const double* bp,
                                                     i64 k, i64 n, Out* out) {
   for (i64 j0 = 0; j0 < n; j0 += kNr) {
     const double* panel = bp + j0 * k;
     f64x2 acc[kNr / 2] = {};
     for (i64 t = 0; t < k; ++t) {
-      const f64x2 xt = splat(x[t]);
+      const f64x2 xt = splat(x[t * xs]);
 #pragma GCC unroll kNr
       for (i64 v = 0; v < kNr / 2; ++v) acc[v] += xt * load2(panel + t * kNr + 2 * v);
     }
@@ -109,27 +109,15 @@ template <typename Out>
   }
 }
 
-/// C[m, n] = sum_t A(i, t) * B(t, j), one panel_dots row at a time. A is
-/// packed row-major only when its rows are not contiguous (matmul_tn).
+/// C[m, n] = sum_t A(i, t) * B(t, j), one panel_dots row at a time.
 void matmul_core(Strided a, Strided b, i64 m, i64 k, i64 n, Tensor& c) {
   std::vector<double> bp(static_cast<std::size_t>(panel_count(n) * kNr * k));
   par::parallel_for(panel_count(n), kPackGrain / kNr, [&](i64 q0, i64 q1, i64) {
     pack_panels(b, k, n, q0, q1, bp.data());
   });
-  std::vector<float> ap;
-  const float* arows = a.p;
-  if (a.cs != 1) {
-    ap.resize(static_cast<std::size_t>(m * k));
-    par::parallel_for(m, kPackGrain, [&](i64 i0, i64 i1, i64) {
-      for (i64 i = i0; i < i1; ++i) {
-        for (i64 t = 0; t < k; ++t) ap[static_cast<std::size_t>(i * k + t)] = a.at(i, t);
-      }
-    });
-    arows = ap.data();
-  }
   float* out = c.data();
   par::parallel_for(m, kMatmulRowGrain, [&](i64 i0, i64 i1, i64) {
-    for (i64 i = i0; i < i1; ++i) panel_dots(arows + i * k, bp.data(), k, n, out + i * n);
+    for (i64 i = i0; i < i1; ++i) panel_dots(a.p + i * a.rs, a.cs, bp.data(), k, n, out + i * n);
   });
 }
 }  // namespace
@@ -409,7 +397,7 @@ void scatter_rows(const double* w, i64 rows, const float* x, i64 dh, double* acc
 /// matches ref::head_probs exactly.
 void probs_row(const float* q, const HeadPanels& panels, i64 n, i64 dh, double* p) {
   const double scl = 1.0 / std::sqrt(static_cast<double>(dh));
-  panel_dots(q, panels.kp.data(), dh, n, p);
+  panel_dots(q, 1, panels.kp.data(), dh, n, p);
   double maxv = -1e300;
   for (i64 j = 0; j < n; ++j) {
     p[j] *= scl;
@@ -474,7 +462,7 @@ Tensor attention_backward(const Tensor& dctx, const Tensor& qkv, i64 batch,
         const float* qi = qkv.data() + (row0 + i) * 3 * h + hd * dh;
         const float* dci = dctx.data() + (row0 + i) * h + hd * dh;
         probs_row(qi, panels, i + 1, dh, p.data());
-        panel_dots(dci, panels.vp.data(), dh, i + 1, ds.data());  // dP
+        panel_dots(dci, 1, panels.vp.data(), dh, i + 1, ds.data());  // dP
         double dot = 0;
         for (i64 j = 0; j <= i; ++j) dot += ds[j] * p[j];
         for (i64 j = 0; j <= i; ++j) ds[j] = p[j] * (ds[j] - dot) * scl;
