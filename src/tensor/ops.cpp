@@ -73,11 +73,11 @@ struct Strided {
 /// column n.
 void pack_panels(Strided b, i64 k, i64 n, i64 q0, i64 q1, double* dst) {
   for (i64 q = q0; q < q1; ++q) {
+    const i64 j0 = q * kNr, cols = std::min(kNr, n - j0);
     for (i64 t = 0; t < k; ++t) {
-      for (i64 jj = 0; jj < kNr; ++jj) {
-        const i64 j = q * kNr + jj;
-        dst[(q * k + t) * kNr + jj] = j < n ? static_cast<double>(b.at(t, j)) : 0.0;
-      }
+      double* d = dst + (q * k + t) * kNr;
+      for (i64 jj = 0; jj < cols; ++jj) d[jj] = b.at(t, j0 + jj);
+      for (i64 jj = cols; jj < kNr; ++jj) d[jj] = 0.0;
     }
   }
 }
@@ -87,14 +87,15 @@ i64 panel_count(i64 n) { return (n + kNr - 1) / kNr; }
 /// out[j] = sum_t x[t * xs] * B(t, j) for j in [0, n), B packed by
 /// pack_panels: one double fold per output, t ascending as in the oracle,
 /// kNr outputs at a time. The micro-kernel of matmul and of the attention
-/// score and dP dots. Out of line and aligned to a 64-byte cache line, so its loops sit
-/// at the same offsets within cache lines and decoded-instruction windows in
-/// every build: inlined into the pool lambda it moved with the size of
-/// unrelated code linked before it, and a 16-byte shift made short-sequence
-/// train steps ~15% slower.
+/// score and dP dots. Out of line and aligned to a 64-byte cache line, so
+/// its loops sit at the same offsets within cache lines and
+/// decoded-instruction windows in every build: inlined into the pool lambda
+/// it moved with the size of unrelated code linked before it, and a 16-byte
+/// shift made short-sequence train steps ~15% slower.
 template <typename Out>
-[[gnu::noinline, gnu::aligned(64)]] void panel_dots(const float* x, i64 xs, const double* bp,
-                                                    i64 k, i64 n, Out* out) {
+[[gnu::noinline, gnu::aligned(64)]] void panel_dots(const float* x, i64 xs,
+                                                    const double* bp, i64 k, i64 n,
+                                                    Out* out) {
   for (i64 j0 = 0; j0 < n; j0 += kNr) {
     const double* panel = bp + j0 * k;
     f64x2 acc[kNr / 2] = {};
@@ -117,7 +118,9 @@ void matmul_core(Strided a, Strided b, i64 m, i64 k, i64 n, Tensor& c) {
   });
   float* out = c.data();
   par::parallel_for(m, kMatmulRowGrain, [&](i64 i0, i64 i1, i64) {
-    for (i64 i = i0; i < i1; ++i) panel_dots(a.p + i * a.rs, a.cs, bp.data(), k, n, out + i * n);
+    for (i64 i = i0; i < i1; ++i) {
+      panel_dots(a.p + i * a.rs, a.cs, bp.data(), k, n, out + i * n);
+    }
   });
 }
 }  // namespace
@@ -358,9 +361,13 @@ void fold_cols(const double* w, const double* ys, i64 rows, i64 dh, float* out) 
     for (i64 r = 0; r < rows; ++r) {
       const f64x2 wr = splat(w[r]);
 #pragma GCC unroll kFoldCols
-      for (i64 v = 0; v < kFoldCols / 2; ++v) acc[v] += wr * load2(ys + r * dh + c + 2 * v);
+      for (i64 v = 0; v < kFoldCols / 2; ++v) {
+        acc[v] += wr * load2(ys + r * dh + c + 2 * v);
+      }
     }
-    for (i64 cc = 0; cc < kFoldCols; ++cc) out[c + cc] = static_cast<float>(acc[cc / 2][cc % 2]);
+    for (i64 cc = 0; cc < kFoldCols; ++cc) {
+      out[c + cc] = static_cast<float>(acc[cc / 2][cc % 2]);
+    }
   }
   for (; c < dh; ++c) {
     double acc = 0;

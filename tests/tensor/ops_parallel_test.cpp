@@ -53,7 +53,9 @@ void expect_matmuls_match(i64 m, i64 k, i64 n, std::uint64_t seed) {
     if (cancelling && k >= 2) {
       // A(i, t1) = A(i, t2) = 2^20, B(t1, j) = 2^20 and B(t2, j) = -2^20.
       const i64 t1 = k / 3, t2 = std::max(t1 + 1, k - 1 - k / 3);
-      for (i64 i = 0; i < m; ++i) a.at(i, t1) = a.at(i, t2) = at.at(t1, i) = at.at(t2, i) = kBig;
+      for (i64 i = 0; i < m; ++i) {
+        a.at(i, t1) = a.at(i, t2) = at.at(t1, i) = at.at(t2, i) = kBig;
+      }
       for (i64 j = 0; j < n; ++j) {
         b.at(t1, j) = bt.at(j, t1) = kBig;
         b.at(t2, j) = bt.at(j, t2) = -kBig;
