@@ -321,22 +321,23 @@ void bench_tune(Harness& h, obs::prof::Registry& reg) {
 }
 
 // The tensor kernels on the mini-GPT train shapes, on one thread: every
-// matmul variant on the qkv, MLP and LM-head shapes (m x k x n), and
-// attention forward and backward at the two perfbench sequence lengths
-// (h = 32, 4 heads). Unlike train/, no rank or comm thread runs, so these
-// keys are as stable as build/ and ride CI's gate. Each rep calls the
-// kernel `calls` times so that a rep lasts about a millisecond.
+// matmul variant on the qkv and MLP-chunk shapes (m x k x n) of perfbench's
+// long and short sequences, and attention forward and backward at both
+// sequence lengths (h = 32, 4 heads). Unlike train/, no rank or comm thread
+// runs, so these keys are as stable as build/ and ride CI's gate. Each rep
+// calls the kernel `calls` times so that a rep lasts about a millisecond.
 void bench_kernel(Harness& h, obs::prof::Registry& reg) {
   reg.set_phase("kernel");
   std::printf("tensor kernels (train shapes, 1 thread)\n");
   par::set_global_threads(1);
   using tensor::Tensor;
-  const auto repeat = [](int calls, const std::function<float()>& fn) {
-    return [calls, fn] {
+  const auto time = [&h](const std::string& key, int calls,
+                         const std::function<Tensor()>& kernel) {
+    h.measure(key, [&] {
       float sink = 0;
-      for (int i = 0; i < calls; ++i) sink += fn();
+      for (int i = 0; i < calls; ++i) sink += kernel()[0];
       if (sink != sink) std::abort();  // keep the results observable
-    };
+    });
   };
   const tensor::i64 shapes[][3] = {
       {256, 32, 96}, {128, 32, 128}, {128, 128, 32}, {8, 32, 128}, {128, 8, 32}};
@@ -348,38 +349,22 @@ void bench_kernel(Harness& h, obs::prof::Registry& reg) {
     tensor::fill_uniform(at, 3);
     tensor::fill_uniform(bt, 4);
     const int calls = static_cast<int>(std::max<tensor::i64>(1, 4'000'000 / (m * k * n)));
-    char key[128];
-    std::snprintf(key, sizeof(key), "kernel/matmul/m%lld_k%lld_n%lld",
-                  static_cast<long long>(m), static_cast<long long>(k),
-                  static_cast<long long>(n));
-    h.measure(key, repeat(calls, [&] { return tensor::matmul(a, b)[0]; }));
-    std::snprintf(key, sizeof(key), "kernel/matmul_tn/m%lld_k%lld_n%lld",
-                  static_cast<long long>(m), static_cast<long long>(k),
-                  static_cast<long long>(n));
-    h.measure(key, repeat(calls, [&] { return tensor::matmul_tn(at, b)[0]; }));
-    std::snprintf(key, sizeof(key), "kernel/matmul_nt/m%lld_k%lld_n%lld",
-                  static_cast<long long>(m), static_cast<long long>(k),
-                  static_cast<long long>(n));
-    h.measure(key, repeat(calls, [&] { return tensor::matmul_nt(a, bt)[0]; }));
+    const std::string dims = "/m" + std::to_string(m) + "_k" + std::to_string(k) +
+                             "_n" + std::to_string(n);
+    time("kernel/matmul" + dims, calls, [&] { return tensor::matmul(a, b); });
+    time("kernel/matmul_tn" + dims, calls, [&] { return tensor::matmul_tn(at, b); });
+    time("kernel/matmul_nt" + dims, calls, [&] { return tensor::matmul_nt(a, bt); });
   }
   for (const tensor::i64 seq : {16, 256}) {
-    const tensor::i64 hidden = 32;
-    const int heads = 4;
-    Tensor qkv({seq, 3 * hidden}), dctx({seq, hidden});
+    Tensor qkv({seq, 3 * 32}), dctx({seq, 32});  // h = 32, 4 heads
     tensor::fill_uniform(qkv, 5);
     tensor::fill_uniform(dctx, 6);
     const int calls = seq < 64 ? 64 : 1;
-    char key[128];
-    std::snprintf(key, sizeof(key), "kernel/attention_fwd/seq%lld_h32_heads4",
-                  static_cast<long long>(seq));
-    h.measure(key, repeat(calls, [&] {
-      return tensor::attention_forward(qkv, 1, seq, heads)[0];
-    }));
-    std::snprintf(key, sizeof(key), "kernel/attention_bwd/seq%lld_h32_heads4",
-                  static_cast<long long>(seq));
-    h.measure(key, repeat(calls, [&] {
-      return tensor::attention_backward(dctx, qkv, 1, seq, heads)[0];
-    }));
+    const std::string dims = "/seq" + std::to_string(seq) + "_h32_heads4";
+    time("kernel/attention_fwd" + dims, calls,
+         [&] { return tensor::attention_forward(qkv, 1, seq, 4); });
+    time("kernel/attention_bwd" + dims, calls,
+         [&] { return tensor::attention_backward(dctx, qkv, 1, seq, 4); });
   }
   par::set_global_threads(par::env_threads());
 }

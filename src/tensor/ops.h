@@ -3,7 +3,10 @@
 #include "tensor/tensor.h"
 
 // Numerical primitives for the mini-transformer: forward and backward of
-// every Table 1 operation. All reductions accumulate in double.
+// every Table 1 operation. All reductions accumulate in double, each output
+// in its own accumulator in a fixed ascending order, so the pooled,
+// register-blocked kernels below are bit-identical to the serial ref::
+// kernels at any thread count (DESIGN §8). No multiply-add is ever fused.
 namespace helix::tensor {
 
 /// C = A[m,k] * B[k,n].
