@@ -55,7 +55,7 @@ std::vector<CellRef> collect(const Table& t, Pred pred) {
   std::vector<CellRef> out;
   for (int r = 0; r < t.ranks(); ++r) {
     for (int s = 0; s < t.slots(r); ++s) {
-      if (pred(t.cell(r, s))) out.push_back(CellRef{r, s});
+      if (pred(t.op(r, s))) out.push_back(CellRef{r, s});
     }
   }
   return out;
@@ -88,10 +88,9 @@ bool move_random(Table& t, std::mt19937_64& rng,
 /// each move invalidates earlier CellRefs.
 bool shift_all_recvs(Table& t, bool earlier) {
   std::vector<OpId> recvs;
-  for (const CellRef at : collect(t, [](const Cell& c) {
-         return c.op.kind == OpKind::kRecv;
-       })) {
-    recvs.push_back(t.cell(at.rank, at.slot).op.id);
+  for (const CellRef at :
+       collect(t, [](const core::Op& op) { return op.kind == OpKind::kRecv; })) {
+    recvs.push_back(t.op(at.rank, at.slot).id);
   }
   bool moved = false;
   for (const OpId id : recvs) {
@@ -152,7 +151,7 @@ bool apply_mutation(Genome& g, MutationKind kind, std::mt19937_64& rng,
       applied = move_random(
           g.table, rng,
           collect(g.table,
-                  [](const Cell& c) { return c.kind == CellKind::kBackwardW; }),
+                  [](const core::Op& op) { return core::is_backward_w(op.kind); }),
           kind == MutationKind::kMoveWEarlier);
       break;
     case MutationKind::kHoistRecv:
@@ -160,7 +159,7 @@ bool apply_mutation(Genome& g, MutationKind kind, std::mt19937_64& rng,
       applied = move_random(
           g.table, rng,
           collect(g.table,
-                  [](const Cell& c) { return c.op.kind == OpKind::kRecv; }),
+                  [](const core::Op& op) { return op.kind == OpKind::kRecv; }),
           kind == MutationKind::kHoistRecv);
       break;
     case MutationKind::kWidenLookahead:
@@ -174,30 +173,24 @@ bool apply_mutation(Genome& g, MutationKind kind, std::mt19937_64& rng,
     case MutationKind::kRelist: {
       // The list scheduler honors explicit deps only, while generators
       // encode part of the semantic order through stream order (see
-      // core::semantic_order_edges). Run it on a dep-augmented copy, then
-      // restore the original dep lists by op id so the table keeps holding
-      // the IR the runtime would execute.
+      // core::semantic_order_edges). Run it on a dep-augmented lowered copy
+      // and keep only the order it picks: the table's shared ops stay the
+      // IR the runtime would execute.
       core::Schedule s = g.table.lower();
-      std::vector<std::vector<OpId>> orig_deps(s.total_ops());
       std::vector<core::Op*> by_id(s.total_ops(), nullptr);
       for (auto& stage : s.stage_ops) {
-        for (core::Op& op : stage) {
-          by_id[static_cast<std::size_t>(op.id)] = &op;
-          orig_deps[static_cast<std::size_t>(op.id)] = op.deps;
-        }
+        for (core::Op& op : stage) by_id[static_cast<std::size_t>(op.id)] = &op;
       }
       for (const auto& [a, b] : core::semantic_order_edges(s)) {
         by_id[static_cast<std::size_t>(b)]->deps.push_back(a);
       }
-      core::Schedule relisted = core::reorder_stage_programs(s, cost);
-      for (auto& stage : relisted.stage_ops) {
-        for (core::Op& op : stage) {
-          op.deps = orig_deps[static_cast<std::size_t>(op.id)];
-        }
+      const core::Schedule relisted = core::reorder_stage_programs(s, cost);
+      std::vector<std::vector<OpId>> rows(relisted.stage_ops.size());
+      for (std::size_t r = 0; r < rows.size(); ++r) {
+        rows[r].reserve(relisted.stage_ops[r].size());
+        for (const core::Op& op : relisted.stage_ops[r]) rows[r].push_back(op.id);
       }
-      Table t = Table::lift(relisted);
-      applied = t.fingerprint() != g.table.fingerprint();
-      if (applied) g.table = std::move(t);
+      applied = g.table.reorder(std::move(rows));
       break;
     }
     case MutationKind::kToggleRecompute:

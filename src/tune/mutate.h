@@ -10,19 +10,20 @@
 // Mutation operators over tune::Table (DESIGN §15). Two classes:
 //
 //  * Order mutations (swap / move-W / hoist- and push-recv / widen- and
-//    narrow-lookahead / relist) permute cells within rows through the
-//    table's safe-swap primitive, so they preserve well-formedness by
-//    construction — ops, payloads and dependencies are untouched and the
-//    graph stays acyclic. Each swap costs a check bounded by the table's
-//    topological index, not a walk of the whole graph, so the lookahead
-//    knobs can shift every Recv cheaply. The mutated table keeps sharing
-//    its parent's constraint graph; relist re-lifts and builds its own.
+//    narrow-lookahead / relist) permute cells within rows — through the
+//    table's safe-swap primitive, or for relist through Table::reorder,
+//    which re-indexes the whole new order and refuses a cyclic one — so
+//    they preserve well-formedness by construction: ops, payloads and
+//    dependencies are untouched and the graph stays acyclic. Each swap
+//    costs a check bounded by the table's topological index, not a walk of
+//    the whole graph, so the lookahead knobs can shift every Recv cheaply.
+//    The mutated table keeps sharing its parent's lift: the same op
+//    records and constraint graph.
 //  * Regeneration mutations (toggle-recompute, re-chunk) flip a provenance
 //    knob and rebuild the schedule from its family generator, because they
 //    change the op payload itself (different stash sizes / different op
-//    set). They discard earlier order edits and lift a new graph; the
-//    search keeps both branches in its population, so nothing is lost
-//    globally.
+//    set). They discard earlier order edits and lift anew; the search
+//    keeps both branches in its population, so nothing is lost globally.
 //
 // Every operator is deterministic given the RNG state; the search layer owns
 // one seeded engine per run.
@@ -55,7 +56,8 @@ struct Provenance {
 
 /// One search individual: the table plus its provenance and a human-readable
 /// mutation lineage ("helix_naive +relist +swap ..."). Copying a genome
-/// copies the table's cells and order but shares its constraint graph.
+/// copies the table's order (rows, positions and topological index, all op
+/// ids) and shares its lift; no op is copied.
 struct Genome {
   Table table;
   Provenance prov;

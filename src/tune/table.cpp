@@ -15,53 +15,6 @@ using core::Op;
 using core::OpId;
 using core::OpKind;
 
-CellKind classify(OpKind k) noexcept {
-  switch (k) {
-    case OpKind::kEmbedFwd:
-    case OpKind::kFwdPre:
-    case OpKind::kFwdAttn:
-    case OpKind::kFwdPost:
-      return CellKind::kForward;
-    case OpKind::kLmHeadLoss:
-    case OpKind::kBwdPost:
-    case OpKind::kBwdAttn:
-    case OpKind::kBwdPre:
-    case OpKind::kEmbedBwd:
-      return CellKind::kBackwardB;
-    case OpKind::kBwdWPre:
-    case OpKind::kBwdWPost:
-      return CellKind::kBackwardW;
-    case OpKind::kRecomputePre:
-    case OpKind::kRecomputeAttn:
-    case OpKind::kRecomputePost:
-      return CellKind::kRecompute;
-    case OpKind::kSend:
-    case OpKind::kRecv:
-      return CellKind::kComm;
-    case OpKind::kOptimStep:
-      return CellKind::kOptim;
-  }
-  return CellKind::kForward;
-}
-
-const char* to_string(CellKind k) noexcept {
-  switch (k) {
-    case CellKind::kForward:
-      return "F";
-    case CellKind::kBackwardB:
-      return "B";
-    case CellKind::kBackwardW:
-      return "W";
-    case CellKind::kRecompute:
-      return "R";
-    case CellKind::kComm:
-      return "C";
-    case CellKind::kOptim:
-      return "O";
-  }
-  return "?";
-}
-
 namespace {
 
 using Edges = std::vector<std::pair<OpId, OpId>>;
@@ -111,22 +64,20 @@ thread_local Scratch scratch;
 }  // namespace
 
 Table Table::lift(const core::Schedule& sched) {
-  Table t;
-  t.name_ = sched.name;
-  t.num_micro_batches_ = sched.num_micro_batches;
-  t.num_layers_ = sched.num_layers;
-  t.rows_.resize(sched.stage_ops.size());
-
   const std::size_t total = sched.total_ops();
-  t.pos_.assign(total, CellRef{});
+  auto lifted = std::make_shared<Lift>();
+  lifted->name = sched.name;
+  lifted->num_micro_batches = sched.num_micro_batches;
+  lifted->num_layers = sched.num_layers;
+  lifted->ops.resize(total);
+  std::vector<std::vector<OpId>> rows(sched.stage_ops.size());
   std::vector<bool> seen(total, false);
 
   // Send id per rendezvous tag, to add the send->recv edges below.
   std::map<std::int32_t, OpId> send_by_tag;
 
   for (std::size_t r = 0; r < sched.stage_ops.size(); ++r) {
-    auto& row = t.rows_[r];
-    row.reserve(sched.stage_ops[r].size());
+    rows[r].reserve(sched.stage_ops[r].size());
     for (const Op& op : sched.stage_ops[r]) {
       if (op.id < 0 || static_cast<std::size_t>(op.id) >= total ||
           seen[static_cast<std::size_t>(op.id)]) {
@@ -136,9 +87,8 @@ Table Table::lift(const core::Schedule& sched) {
             std::to_string(op.id) + " of " + std::to_string(total) + " ops)");
       }
       seen[static_cast<std::size_t>(op.id)] = true;
-      t.pos_[static_cast<std::size_t>(op.id)] =
-          CellRef{static_cast<int>(r), static_cast<int>(row.size())};
-      row.push_back(Cell{op, classify(op.kind)});
+      lifted->ops[static_cast<std::size_t>(op.id)] = op;
+      rows[r].push_back(op.id);
       if (op.kind == OpKind::kSend && op.tag >= 0) send_by_tag[op.tag] = op.id;
     }
   }
@@ -149,77 +99,109 @@ Table Table::lift(const core::Schedule& sched) {
   // legality check admits semantics-preserving by construction, not just
   // acyclic.
   Edges edges = core::semantic_order_edges(sched);
-  for (const auto& row : t.rows_) {
-    for (const Cell& c : row) {
-      for (const OpId d : c.op.deps) {
+  for (const auto& row : rows) {
+    for (const OpId id : row) {
+      const Op& op = lifted->ops[static_cast<std::size_t>(id)];
+      for (const OpId d : op.deps) {
         if (d < 0 || static_cast<std::size_t>(d) >= total) {
           throw std::invalid_argument(
-              "tune::Table::lift: op " + std::to_string(c.op.id) +
+              "tune::Table::lift: op " + std::to_string(id) +
               " depends on unknown op " + std::to_string(d));
         }
-        edges.emplace_back(d, c.op.id);
+        edges.emplace_back(d, id);
       }
-      if (c.op.kind == OpKind::kRecv && c.op.tag >= 0) {
-        const auto it = send_by_tag.find(c.op.tag);
-        if (it != send_by_tag.end()) edges.emplace_back(it->second, c.op.id);
+      if (op.kind == OpKind::kRecv && op.tag >= 0) {
+        const auto it = send_by_tag.find(op.tag);
+        if (it != send_by_tag.end()) edges.emplace_back(it->second, id);
       }
     }
   }
-  auto graph = std::make_shared<Graph>();
-  pack_csr(total, edges, /*forward=*/true, graph->succ_begin, graph->succ);
-  pack_csr(total, edges, /*forward=*/false, graph->pred_begin, graph->pred);
+  pack_csr(total, edges, /*forward=*/true, lifted->succ_begin, lifted->succ);
+  pack_csr(total, edges, /*forward=*/false, lifted->pred_begin, lifted->pred);
 
-  // Kahn's algorithm over the static edges plus row order gives the first
+  Table t;
+  t.lift_ = std::move(lifted);
+  t.set_order(std::move(rows));
+  return t;
+}
+
+void Table::set_order(std::vector<std::vector<OpId>> rows) {
+  // Kahn's algorithm over the static edges plus row order gives the
   // topological index; an op it never reaches sits on a cycle.
+  const Lift& g = *lift_;
+  const std::size_t total = g.ops.size();
+  std::vector<CellRef> pos(total);
   std::vector<std::uint32_t> indeg(total);
   std::vector<OpId> ready;
   ready.reserve(total);
-  for (const auto& row : t.rows_) {
-    for (std::size_t s = 0; s < row.size(); ++s) {
-      const auto id = static_cast<std::size_t>(row[s].op.id);
-      indeg[id] = graph->pred_begin[id + 1] - graph->pred_begin[id] + (s > 0 ? 1 : 0);
-      if (indeg[id] == 0) ready.push_back(row[s].op.id);
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    for (std::size_t s = 0; s < rows[r].size(); ++s) {
+      const auto id = static_cast<std::size_t>(rows[r][s]);
+      pos[id] = CellRef{static_cast<int>(r), static_cast<int>(s)};
+      indeg[id] = g.pred_begin[id + 1] - g.pred_begin[id] + (s > 0 ? 1 : 0);
+      if (indeg[id] == 0) ready.push_back(rows[r][s]);
     }
   }
-  t.ord_.assign(total, -1);
+  std::vector<std::int32_t> ord(total, -1);
   const auto release = [&](OpId v) {
     if (--indeg[static_cast<std::size_t>(v)] == 0) ready.push_back(v);
   };
   for (std::size_t head = 0; head < ready.size(); ++head) {
     const OpId cur = ready[head];
-    t.ord_[static_cast<std::size_t>(cur)] = static_cast<std::int32_t>(head);
     const auto c = static_cast<std::size_t>(cur);
-    for (std::uint32_t e = graph->succ_begin[c]; e < graph->succ_begin[c + 1]; ++e) {
-      release(graph->succ[e]);
+    ord[c] = static_cast<std::int32_t>(head);
+    for (std::uint32_t e = g.succ_begin[c]; e < g.succ_begin[c + 1]; ++e) {
+      release(g.succ[e]);
     }
-    const CellRef at = t.pos_[c];
-    const auto& row = t.rows_[static_cast<std::size_t>(at.rank)];
+    const CellRef at = pos[c];
+    const auto& row = rows[static_cast<std::size_t>(at.rank)];
     if (at.slot + 1 < static_cast<int>(row.size())) {
-      release(row[static_cast<std::size_t>(at.slot + 1)].op.id);
+      release(row[static_cast<std::size_t>(at.slot + 1)]);
     }
   }
   if (ready.size() != total) {
     OpId stuck = 0;
-    while (t.ord_[static_cast<std::size_t>(stuck)] >= 0) ++stuck;
+    while (ord[static_cast<std::size_t>(stuck)] >= 0) ++stuck;
     throw std::invalid_argument(
-        "tune::Table::lift: schedule \"" + sched.name +
+        "tune::Table: schedule \"" + g.name +
         "\" has a row order that is cyclic under its deps, send->recv and "
         "semantic order edges (op " + std::to_string(stuck) + " is never ready)");
   }
-  t.graph_ = std::move(graph);
-  return t;
+  rows_ = std::move(rows);
+  pos_ = std::move(pos);
+  ord_ = std::move(ord);
+}
+
+bool Table::reorder(std::vector<std::vector<OpId>> rows) {
+  if (rows == rows_) return false;
+  const auto sorted = [](std::vector<OpId> v) {
+    std::sort(v.begin(), v.end());
+    return v;
+  };
+  bool permutes = rows.size() == rows_.size();
+  for (std::size_t r = 0; permutes && r < rows.size(); ++r) {
+    permutes = sorted(rows[r]) == sorted(rows_[r]);
+  }
+  if (!permutes) {
+    throw std::invalid_argument("tune::Table::reorder: the new rows of schedule \"" +
+                                lift_->name + "\" do not permute each row's ops");
+  }
+  set_order(std::move(rows));
+  return true;
 }
 
 core::Schedule Table::lower() const {
   core::Schedule out;
-  out.name = name_;
+  out.name = lift_->name;
   out.num_stages = ranks();
-  out.num_micro_batches = num_micro_batches_;
-  out.num_layers = num_layers_;
+  out.num_micro_batches = lift_->num_micro_batches;
+  out.num_layers = lift_->num_layers;
   out.stage_ops.resize(rows_.size());
   for (std::size_t r = 0; r < rows_.size(); ++r) {
     out.stage_ops[r].reserve(rows_[r].size());
-    for (const Cell& c : rows_[r]) out.stage_ops[r].push_back(c.op);
+    for (const OpId id : rows_[r]) {
+      out.stage_ops[r].push_back(lift_->ops[static_cast<std::size_t>(id)]);
+    }
   }
   return out;
 }
@@ -247,14 +229,14 @@ bool Table::reaches(OpId from, OpId to) const {
   bool found = false;
   for (std::size_t head = 0; head < sc.fwd.size() && !found; ++head) {
     const auto cur = static_cast<std::size_t>(sc.fwd[head]);
-    for (std::uint32_t e = graph_->succ_begin[cur];
-         e < graph_->succ_begin[cur + 1] && !found; ++e) {
-      found = push(graph_->succ[e]);
+    for (std::uint32_t e = lift_->succ_begin[cur];
+         e < lift_->succ_begin[cur + 1] && !found; ++e) {
+      found = push(lift_->succ[e]);
     }
     const CellRef at = pos_[cur];
     const auto& row = rows_[static_cast<std::size_t>(at.rank)];
     if (!found && head > 0 && at.slot + 1 < static_cast<int>(row.size())) {
-      found = push(row[static_cast<std::size_t>(at.slot + 1)].op.id);
+      found = push(row[static_cast<std::size_t>(at.slot + 1)]);
     }
   }
   HELIX_PROF_COUNT("tune.legality.checks", 1);
@@ -280,13 +262,12 @@ void Table::repair_order(OpId a, OpId b) {
   };
   for (std::size_t head = 0; head < sc.bwd.size(); ++head) {
     const auto cur = static_cast<std::size_t>(sc.bwd[head]);
-    for (std::uint32_t e = graph_->pred_begin[cur]; e < graph_->pred_begin[cur + 1]; ++e) {
-      push(graph_->pred[e]);
+    for (std::uint32_t e = lift_->pred_begin[cur]; e < lift_->pred_begin[cur + 1]; ++e) {
+      push(lift_->pred[e]);
     }
     const CellRef at = pos_[cur];
     if (at.slot > 0) {
-      push(rows_[static_cast<std::size_t>(at.rank)][static_cast<std::size_t>(at.slot - 1)]
-               .op.id);
+      push(rows_[static_cast<std::size_t>(at.rank)][static_cast<std::size_t>(at.slot - 1)]);
     }
   }
   const auto by_ord = [this](OpId x, OpId y) {
@@ -308,9 +289,8 @@ bool Table::can_swap(int rank, int slot) const {
   if (rank < 0 || rank >= ranks()) return false;
   const auto& row = rows_[static_cast<std::size_t>(rank)];
   if (slot < 0 || slot + 1 >= static_cast<int>(row.size())) return false;
-  const OpId a = row[static_cast<std::size_t>(slot)].op.id;
-  const OpId b = row[static_cast<std::size_t>(slot + 1)].op.id;
-  return !reaches(a, b);
+  return !reaches(row[static_cast<std::size_t>(slot)],
+                  row[static_cast<std::size_t>(slot + 1)]);
 }
 
 bool Table::try_swap(int rank, int slot) {
@@ -318,8 +298,8 @@ bool Table::try_swap(int rank, int slot) {
   auto& row = rows_[static_cast<std::size_t>(rank)];
   std::swap(row[static_cast<std::size_t>(slot)],
             row[static_cast<std::size_t>(slot + 1)]);
-  const OpId b = row[static_cast<std::size_t>(slot)].op.id;
-  const OpId a = row[static_cast<std::size_t>(slot + 1)].op.id;
+  const OpId b = row[static_cast<std::size_t>(slot)];
+  const OpId a = row[static_cast<std::size_t>(slot + 1)];
   pos_[static_cast<std::size_t>(b)] = CellRef{rank, slot};
   pos_[static_cast<std::size_t>(a)] = CellRef{rank, slot + 1};
   repair_order(a, b);
@@ -358,8 +338,8 @@ std::uint64_t Table::fingerprint() const {
   mix(rows_.size());
   for (const auto& row : rows_) {
     mix(row.size());
-    for (const Cell& c : row) {
-      const core::Op& op = c.op;
+    for (const OpId id : row) {
+      const Op& op = lift_->ops[static_cast<std::size_t>(id)];
       mix(std::uint64_t{static_cast<std::uint32_t>(op.id)} << 32 |
           static_cast<std::uint32_t>(op.tag));
       mix(std::uint64_t{static_cast<std::uint16_t>(op.mb)} << 48 |

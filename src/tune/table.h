@@ -11,12 +11,12 @@
 // Tabular schedule representation (DESIGN §15).
 //
 // A tune::Table is the schedule-as-data view of a core::Schedule: a
-// rank × slot grid where row r lists stage r's program and each cell wraps
-// one typed IR op (forward / backward-B / backward-W / recompute /
-// send-recv / optimizer). The two views round-trip losslessly —
-// lower(lift(s)) is op-for-op identical to s, every field and dependency
-// preserved — so anything the simulator, validators or runtime accept as a
-// Schedule is reachable from a Table and vice versa.
+// rank × slot grid where row r lists stage r's program as op ids. The ops
+// themselves live once, in an immutable lift that every copy of the table
+// shares; a table is an order over that lift. The two views round-trip
+// losslessly — lower(lift(s)) is op-for-op identical to s, every field and
+// dependency preserved — so anything the simulator, validators or runtime
+// accept as a Schedule is reachable from a Table and vice versa.
 //
 // The point of the representation is safe mutation. Order edits go through
 // try_swap / try_move, which admit an edit only when the constraint graph
@@ -24,40 +24,22 @@
 // per-micro-batch order edges of core::semantic_order_edges, which the
 // validators enforce) stays acyclic; a Table therefore stays executable and
 // semantics-preserving *by construction*, and the search layer
-// (tune/search.h) never has to repair candidates. Regeneration knobs
+// (tune/search.h) never has to repair candidates. reorder() installs a whole
+// new order (the relist mutation's) over the same lift. Regeneration knobs
 // (recompute set, chunking) live one level up in tune/mutate.h, since they
-// change the op payload, not just the order.
+// change the ops themselves and so lift anew.
 //
 // Legality is checked locally. Order edits never change the static edges
 // (deps, send->recv, semantic order), so lift packs them once into an
-// immutable CSR graph that every copy of the table shares. Each table keeps
-// a topological index of its ops over those edges plus row order: a path
-// a ->* b only passes through ops indexed below b, so the swap check
-// searches that window alone, and an accepted swap repairs the index over
-// the two cones the check and one backward walk visit (Pearce & Kelly,
+// immutable CSR graph that sits in the shared lift beside the ops. Each
+// table keeps a topological index of its ops over those edges plus row
+// order: a path a ->* b only passes through ops indexed below b, so the swap
+// check searches that window alone, and an accepted swap repairs the index
+// over the two cones the check and one backward walk visit (Pearce & Kelly,
 // "A Dynamic Topological Sort Algorithm for Directed Acyclic Graphs",
-// JEA 2006).
+// JEA 2006). Copying a table copies three id vectors — rows, positions and
+// that index — and never an op.
 namespace helix::tune {
-
-/// Coarse cell type for mutation targeting; derived from the op kind.
-enum class CellKind : std::uint8_t {
-  kForward,    ///< EmbedFwd, FwdPre/Attn/Post
-  kBackwardB,  ///< LmHeadLoss, BwdPost/Attn/Pre, EmbedBwd
-  kBackwardW,  ///< decoupled BwdWPre/BwdWPost
-  kRecompute,  ///< RecomputePre/Attn/Post
-  kComm,       ///< Send / Recv
-  kOptim,      ///< OptimStep
-};
-
-CellKind classify(core::OpKind k) noexcept;
-const char* to_string(CellKind k) noexcept;
-
-/// One grid cell: the IR op, verbatim (the table owns a copy), plus its
-/// coarse type.
-struct Cell {
-  core::Op op;
-  CellKind kind = CellKind::kForward;
-};
 
 /// Grid position of a cell: row `rank`, column `slot`.
 struct CellRef {
@@ -84,16 +66,13 @@ class Table {
   int slots(int rank) const {
     return static_cast<int>(rows_[static_cast<std::size_t>(rank)].size());
   }
-  const Cell& cell(int rank, int slot) const {
-    return rows_[static_cast<std::size_t>(rank)][static_cast<std::size_t>(slot)];
-  }
-  const std::vector<Cell>& row(int rank) const {
-    return rows_[static_cast<std::size_t>(rank)];
+  /// The op at (rank, slot): the lift's own record, shared by every copy of
+  /// this table.
+  const core::Op& op(int rank, int slot) const {
+    return lift_->ops[static_cast<std::size_t>(
+        rows_[static_cast<std::size_t>(rank)][static_cast<std::size_t>(slot)])];
   }
   std::size_t total_cells() const noexcept { return pos_.size(); }
-  const std::string& name() const noexcept { return name_; }
-  int num_micro_batches() const noexcept { return num_micro_batches_; }
-  int num_layers() const noexcept { return num_layers_; }
 
   /// Grid position of op `id`; nullopt for an unknown id.
   std::optional<CellRef> find(core::OpId id) const;
@@ -106,9 +85,8 @@ class Table {
 
   /// Swap the adjacent cells (rank, slot) and (rank, slot + 1) if doing so
   /// keeps the dependency graph acyclic, and repair the topological index
-  /// locally; returns whether the swap was applied. This is the only
-  /// order-mutation primitive — every legal reordering is a sequence of
-  /// safe adjacent swaps.
+  /// locally; returns whether the swap was applied. Every legal reordering
+  /// is a sequence of safe adjacent swaps.
   bool try_swap(int rank, int slot);
 
   /// Move the cell at (rank, from) toward slot `to` by chained safe swaps,
@@ -116,19 +94,38 @@ class Table {
   /// reached (== from when nothing moved).
   int try_move(int rank, int from, int to);
 
+  /// Install `rows` as the whole order, over the same lift, and rebuild the
+  /// topological index. Each row must be a permutation of the same row's op
+  /// ids. Returns false, leaving the table unchanged, when `rows` is the
+  /// current order. Throws std::invalid_argument naming the schedule when
+  /// `rows` is not such a permutation or is cyclic under the constraint
+  /// graph.
+  bool reorder(std::vector<std::vector<core::OpId>> rows);
+
   /// Content hash over every cell (id, kind, payload identity and row
   /// order). Two tables with the same fingerprint hold the same schedule;
   /// the search layer uses it for candidate dedup.
   std::uint64_t fingerprint() const;
 
  private:
-  /// The static constraint graph in CSR form: op a's successors are
-  /// succ[succ_begin[a] .. succ_begin[a + 1]), and likewise for
-  /// predecessors. Stream edges are implicit in the row order.
-  struct Graph {
+  /// What lift derives from a schedule and order edits never change: the
+  /// ops by id, and the static constraint graph in CSR form — op a's
+  /// successors are succ[succ_begin[a] .. succ_begin[a + 1]), and likewise
+  /// for predecessors. Stream edges are implicit in each table's row order.
+  struct Lift {
+    std::string name;
+    int num_micro_batches = 0;
+    int num_layers = 0;
+    std::vector<core::Op> ops;                          ///< by op id
     std::vector<std::uint32_t> succ_begin, pred_begin;  ///< n + 1 offsets
     std::vector<core::OpId> succ, pred;
   };
+
+  /// Install `rows` with fresh positions and a fresh topological index:
+  /// Kahn's algorithm over the static edges plus row order. Throws
+  /// std::invalid_argument naming the schedule, leaving the table
+  /// unchanged, when the order is cyclic.
+  void set_order(std::vector<std::vector<core::OpId>> rows);
 
   /// True when a path from -> to exists that does not use the direct
   /// from -> to stream edge (`from` is `to`'s row predecessor). Leaves the
@@ -142,13 +139,10 @@ class Table {
   /// pooled and reassigned, b's cone first.
   void repair_order(core::OpId a, core::OpId b);
 
-  std::string name_;
-  int num_micro_batches_ = 0;
-  int num_layers_ = 0;
-  std::vector<std::vector<Cell>> rows_;
-  std::vector<CellRef> pos_;         ///< op id -> grid position
-  std::vector<std::int32_t> ord_;    ///< op id -> topological index
-  std::shared_ptr<const Graph> graph_;  ///< shared by every copy of a lift
+  std::shared_ptr<const Lift> lift_;  ///< shared by every copy of a lift
+  std::vector<std::vector<core::OpId>> rows_;
+  std::vector<CellRef> pos_;       ///< op id -> grid position
+  std::vector<std::int32_t> ord_;  ///< op id -> topological index
 };
 
 }  // namespace helix::tune

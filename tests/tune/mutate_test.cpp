@@ -165,3 +165,46 @@ TEST(Mutate, ToggleRecomputeFlipsProvenanceAndOpSet) {
   EXPECT_FALSE(tune::apply_mutation(lw, tune::MutationKind::kToggleRecompute,
                                     rng, cost));
 }
+
+// A table is an order over one shared lift: a genome copy and an
+// order-mutated child hold the very op records of their parent, and only a
+// regeneration mutation lifts anew.
+TEST(Mutate, OrderMutationsShareTheParentsOps) {
+  const core::UnitCostModel cost = unit_cost();
+  const core::PipelineProblem pr = make_problem(4, 8, 8);
+  tune::Genome parent;
+  parent.prov.problem = pr;
+  parent.prov.family = "helix_naive";
+  parent.table = tune::Table::lift(schedules::find_family("helix_naive")->build(pr, cost));
+  parent.lineage = "helix_naive";
+  const auto n = static_cast<core::OpId>(parent.table.total_cells());
+  const auto op_at = [](const tune::Table& t, core::OpId id) -> const core::Op* {
+    const auto at = t.find(id);
+    return at ? &t.op(at->rank, at->slot) : nullptr;
+  };
+  const auto expect_shared = [&](const tune::Genome& child, const std::string& what) {
+    SCOPED_TRACE(what);
+    ASSERT_EQ(child.table.total_cells(), parent.table.total_cells());
+    for (core::OpId id = 0; id < n; ++id) {
+      ASSERT_EQ(op_at(child.table, id), op_at(parent.table, id)) << "op " << id;
+    }
+  };
+
+  const tune::Genome copy = parent;
+  expect_shared(copy, "copy");
+  for (const tune::MutationKind kind :
+       {tune::MutationKind::kSwapAdjacent, tune::MutationKind::kRelist}) {
+    tune::Genome child = parent;
+    std::mt19937_64 rng(1);
+    ASSERT_TRUE(tune::apply_mutation(child, kind, rng, cost)) << tune::to_string(kind);
+    EXPECT_NE(child.table.fingerprint(), parent.table.fingerprint());
+    expect_shared(child, tune::to_string(kind));
+  }
+
+  tune::Genome toggled = parent;
+  std::mt19937_64 rng(1);
+  ASSERT_TRUE(tune::apply_mutation(toggled, tune::MutationKind::kToggleRecompute, rng, cost));
+  for (core::OpId id = 0; id < n; ++id) {
+    EXPECT_NE(op_at(toggled.table, id), op_at(parent.table, id)) << "op " << id;
+  }
+}

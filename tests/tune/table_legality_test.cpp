@@ -139,7 +139,7 @@ TEST(TableLegality, CanSwapMatchesAPlainBfsAlongOrderMutationChains) {
         const tune::Table& t = g.table;
         Oracle oracle(t.lower());
         const auto check = [&](int r, int s) {
-          const bool want = oracle.swappable(t.cell(r, s).op.id, t.cell(r, s + 1).op.id);
+          const bool want = oracle.swappable(t.op(r, s).id, t.op(r, s + 1).id);
           ++checks;
           refused += want ? 0 : 1;
           EXPECT_EQ(t.can_swap(r, s), want)

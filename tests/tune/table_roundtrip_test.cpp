@@ -6,6 +6,8 @@
 // exactly the same program through either view.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
 #include <vector>
 
 #include "check/config.h"
@@ -144,7 +146,7 @@ TEST(TableRoundtrip, FindReturnsEveryOpAndFingerprintIsOrderSensitive) {
     for (const core::Op& op : stage) {
       const auto at = t.find(op.id);
       ASSERT_TRUE(at.has_value());
-      EXPECT_EQ(t.cell(at->rank, at->slot).op.id, op.id);
+      EXPECT_EQ(t.op(at->rank, at->slot).id, op.id);
     }
   }
   EXPECT_FALSE(t.find(-1).has_value());
@@ -202,4 +204,38 @@ TEST(TableRoundtrip, LiftRejectsACyclicRowOrderByName) {
     EXPECT_NE(std::string(e.what()).find("\"" + s.name + "\""), std::string::npos)
         << e.what();
   }
+}
+
+// reorder installs a whole new order over the same lift. It reports an
+// unchanged order as no change, and refuses rows that are not a permutation
+// of each row or that are cyclic, leaving the table as it was.
+TEST(TableRoundtrip, ReorderRefusesForeignOpsAndCyclicRows) {
+  const core::Schedule s = schedules::find_family("1f1b")->build(make_problem(2, 4, 4), unit_cost());
+  tune::Table t = tune::Table::lift(s);
+  std::vector<std::vector<core::OpId>> rows(s.stage_ops.size());
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    for (const core::Op& op : s.stage_ops[r]) rows[r].push_back(op.id);
+  }
+  EXPECT_FALSE(t.reorder(rows));
+  const std::uint64_t before = t.fingerprint();
+
+  auto foreign = rows;  // an op moved to the other row
+  foreign[1].push_back(foreign[0].back());
+  foreign[0].pop_back();
+  EXPECT_THROW(t.reorder(foreign), std::invalid_argument);
+
+  auto cyclic = rows;  // a consumer ahead of its producer in one row
+  const std::vector<core::Op>& row = s.stage_ops[0];
+  for (std::size_t k = 0; k < row.size() && cyclic == rows; ++k) {
+    for (std::size_t j = 0; j < k; ++j) {
+      if (std::find(row[k].deps.begin(), row[k].deps.end(), row[j].id) != row[k].deps.end()) {
+        std::swap(cyclic[0][j], cyclic[0][k]);
+        break;
+      }
+    }
+  }
+  ASSERT_NE(cyclic, rows);
+  EXPECT_THROW(t.reorder(cyclic), std::invalid_argument);
+  EXPECT_EQ(t.fingerprint(), before);
+  expect_ops_identical(s, t.lower());
 }
