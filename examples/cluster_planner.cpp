@@ -15,7 +15,10 @@
 // autotuner (tune::tune, DESIGN §15) once per pipeline size, seeded from
 // every applicable family and capped at the cluster's GPU memory. All tuner
 // scoring goes through the same sim::Sweep instance as the grid, so the
-// baseline evaluations are cache hits inside the search.
+// closing `Sweep:` line counts the tuner's candidates too. None of them is
+// cached: the search scores compiled candidates through
+// Sweep::run_schedules, which keeps no memo, and only the grid's family
+// items can hit the family-keyed one.
 #include <charconv>
 #include <chrono>
 #include <cstdio>

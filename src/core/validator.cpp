@@ -17,21 +17,14 @@ bool outside_order(OpKind k) {
   return is_comm(k) || is_recompute(k) || k == OpKind::kOptimStep;
 }
 
-/// Compile `sched`, then add the checks compile does not make. Empty when
-/// compile rejects the schedule.
-std::optional<CompiledSchedule> check_structure(const Schedule& sched,
-                                                ValidationResult& res) {
-  std::optional<CompiledSchedule> cs;
-  try {
-    cs.emplace(CompiledSchedule::build(sched));
-  } catch (const std::logic_error& e) {
-    res.fail(e.what());
-    return cs;
-  }
-  for (std::size_t i = 0; i < cs->num_ops(); ++i) {
-    if (cs->kind[i] != OpKind::kSend) continue;
-    const Op& s = *cs->ops[i];
-    const Op& r = cs->op(cs->recv_of_tag[static_cast<std::size_t>(s.tag)]);
+/// The structural checks compile does not make: matched Send/Recv peers and
+/// payload sizes, non-empty payloads, non-negative memory deltas, and
+/// balanced alloc/free per stage.
+void check_compiled(const CompiledSchedule& cs, ValidationResult& res) {
+  for (std::size_t i = 0; i < cs.num_ops(); ++i) {
+    if (cs.kind[i] != OpKind::kSend) continue;
+    const Op& s = *cs.ops[i];
+    const Op& r = cs.op(cs.recv_of_tag[static_cast<std::size_t>(s.tag)]);
     if (s.comm_elems <= 0) res.fail(describe(s) + ": empty payload");
     if (s.peer != r.stage || r.peer != s.stage) {
       res.fail("tag " + std::to_string(s.tag) + ": peer mismatch " +
@@ -42,9 +35,10 @@ std::optional<CompiledSchedule> check_structure(const Schedule& sched,
                describe(s) + " vs " + describe(r));
     }
   }
-  for (int s = 0; s < sched.num_stages; ++s) {
+  for (int s = 0; s < cs.num_stages; ++s) {
     std::int64_t balance = 0;
-    for (const Op& op : sched.stage_ops[static_cast<std::size_t>(s)]) {
+    for (const OpId* it = cs.program_begin(s); it != cs.program_end(s); ++it) {
+      const Op& op = cs.op(*it);
       if (op.alloc_bytes < 0 || op.free_bytes < 0 || op.transient_bytes < 0) {
         res.fail(describe(op) + ": negative memory delta");
       }
@@ -55,7 +49,17 @@ std::optional<CompiledSchedule> check_structure(const Schedule& sched,
                std::to_string(balance) + " bytes leak)");
     }
   }
-  return cs;
+}
+
+/// Compile `sched`; empty, with compile's message in `res`, when compile
+/// rejects it.
+std::optional<CompiledSchedule> compile(const Schedule& sched, ValidationResult& res) {
+  try {
+    return CompiledSchedule::build(sched);
+  } catch (const std::logic_error& e) {
+    res.fail(e.what());
+    return std::nullopt;
+  }
 }
 
 std::string entry_name(const MicroBatchOrder::Entry& e) {
@@ -151,15 +155,20 @@ int MicroBatchOrder::add(OpKind kind, int layer, int anchor) {
 
 ValidationResult validate_structure(const Schedule& sched) {
   ValidationResult res;
-  check_structure(sched, res);
+  if (const auto cs = compile(sched, res)) check_compiled(*cs, res);
   return res;
 }
 
 ValidationResult validate_semantics(const Schedule& sched) {
   ValidationResult res;
-  const std::optional<CompiledSchedule> compiled = check_structure(sched, res);
+  const std::optional<CompiledSchedule> cs = compile(sched, res);
+  return cs ? validate_semantics(*cs) : res;
+}
+
+ValidationResult validate_semantics(const CompiledSchedule& cs) {
+  ValidationResult res;
+  check_compiled(cs, res);
   if (!res.ok) return res;
-  const CompiledSchedule& cs = *compiled;
   const MicroBatchOrder order(cs.num_layers);
   const std::size_t n = cs.num_ops();
   const int m = cs.num_micro_batches;

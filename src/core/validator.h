@@ -16,6 +16,8 @@
 // computes exactly what a sequential one does.
 namespace helix::core {
 
+struct CompiledSchedule;
+
 struct ValidationResult {
   bool ok = true;
   std::vector<std::string> errors;
@@ -89,6 +91,12 @@ ValidationResult validate_structure(const Schedule& sched);
 /// gradient producer in its compute stream. Costs one pass over the
 /// topological order per micro batch.
 ValidationResult validate_semantics(const Schedule& sched);
+
+/// The same checks on a schedule already compiled, for callers that keep
+/// the compiled form (the tuner gates and then simulates one compile per
+/// candidate). The Schedule overload compiles and forwards here, so both
+/// report the same errors in the same order for a schedule that compiles.
+ValidationResult validate_semantics(const CompiledSchedule& cs);
 
 /// Exactly-once coverage check: every (mb, layer, op-kind) of a full
 /// training iteration appears exactly once — no dropped and no duplicated

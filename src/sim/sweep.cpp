@@ -12,7 +12,6 @@
 namespace helix::sim {
 
 using core::CostModel;
-using core::Op;
 
 namespace {
 
@@ -31,19 +30,16 @@ void append_prices(std::string& out, const CostModel* cost) {
   if (cost != nullptr) append_raw(out, &cost->prices(), sizeof(CostModel::Prices));
 }
 
-/// Compile + simulate one already-built schedule; shared tail of both
-/// evaluate() overloads.
-SweepOutcome simulate_schedule(const core::Schedule& sched,
-                               const core::CostModel& cost,
-                               const std::vector<std::int64_t>& base_memory,
-                               SimWorkspace& ws) {
+/// Simulate one compiled schedule; shared tail of both evaluate() overloads.
+SweepOutcome simulate(const core::CompiledSchedule& cs, const core::CostModel& cost,
+                      const std::vector<std::int64_t>& base_memory, SimWorkspace& ws) {
   SweepOutcome out;
-  const core::CompiledSchedule cs = core::CompiledSchedule::build(sched);
   const Simulator simulator(cost);
-  // Every evaluation compiles a fresh schedule — often at the same stack
-  // address as the previous item's — so clear the workspace's identity
-  // marker: this run is a cold config, not a steady-state repeat, and must
-  // not count against the sim.workspace.reallocs canary.
+  // Every evaluation is a distinct schedule — a run() compile often sits at
+  // the same stack address as the previous item's — so clear the
+  // workspace's identity marker: this run is a cold config, not a
+  // steady-state repeat, and must not count against the
+  // sim.workspace.reallocs canary.
   ws.last = nullptr;
   const SimResult& res = simulator.run(cs, ws, base_memory);
   out.ok = true;
@@ -71,7 +67,7 @@ SweepOutcome evaluate(const SweepItem& item, SimWorkspace& ws) {
   }
   try {
     const core::Schedule sched = fam->build(item.problem, *item.cost);
-    out = simulate_schedule(sched, *item.cost, item.base_memory, ws);
+    out = simulate(core::CompiledSchedule::build(sched), *item.cost, item.base_memory, ws);
   } catch (const std::exception& e) {
     out = SweepOutcome{};
     out.error = e.what();
@@ -81,37 +77,21 @@ SweepOutcome evaluate(const SweepItem& item, SimWorkspace& ws) {
 
 SweepOutcome evaluate(const ScheduleItem& item, SimWorkspace& ws) {
   SweepOutcome out;
-  if (item.schedule == nullptr) {
+  if (item.compiled == nullptr) {
     out.error = "null schedule";
-    return out;
-  }
-  if (item.cost == nullptr) {
+  } else if (item.cost == nullptr) {
     out.error = "null cost model";
-    return out;
-  }
-  try {
-    out = simulate_schedule(*item.schedule, *item.cost, item.base_memory, ws);
-  } catch (const std::exception& e) {
-    out = SweepOutcome{};
-    out.error = e.what();
+  } else {
+    out = simulate(*item.compiled, *item.cost, item.base_memory, ws);
   }
   return out;
 }
 
-/// Streaming 128-bit mix (two independent 64-bit lanes, splitmix-style
-/// finalizer per word) for hashing schedule content into a compact memo key.
-struct Hash128 {
-  std::uint64_t a = 0x9e3779b97f4a7c15ull;
-  std::uint64_t b = 0xbf58476d1ce4e5b9ull;
-  void mix(std::uint64_t v) {
-    a ^= v + 0x9e3779b97f4a7c15ull + (a << 6) + (a >> 2);
-    std::uint64_t z = b + v + 0x9e3779b97f4a7c15ull;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    b = z ^ (z >> 31);
-  }
-  void mix_i64(std::int64_t v) { mix(static_cast<std::uint64_t>(v)); }
-};
+/// Each chunk of this many items owns one SimWorkspace, recycled across its
+/// slice. The grain is a constant, never derived from the thread count, so
+/// the partition is a fixed function of the item count and the reuse is
+/// identical for every thread count.
+constexpr std::int64_t kGrain = 4;
 
 }  // namespace
 
@@ -148,49 +128,8 @@ std::string memo_key(const SweepItem& item) {
   return key;
 }
 
-std::string memo_key(const ScheduleItem& item) {
-  std::string key;
-  key.reserve(sizeof("<schedule>") + 8 * (3 + item.base_memory.size()) +
-              kPriceKeyBytes);
-  key += "<schedule>";
-  key.push_back('\0');
-  Hash128 h;
-  if (item.schedule != nullptr) {
-    const core::Schedule& s = *item.schedule;
-    h.mix_i64(s.num_stages);
-    h.mix_i64(s.num_micro_batches);
-    h.mix_i64(s.num_layers);
-    for (const std::vector<core::Op>& prog : s.stage_ops) {
-      h.mix_i64(static_cast<std::int64_t>(prog.size()));
-      for (const Op& op : prog) {
-        h.mix_i64(op.id);
-        h.mix_i64(static_cast<std::int64_t>(op.kind));
-        h.mix_i64(op.stage);
-        h.mix_i64(op.mb);
-        h.mix_i64(op.layer);
-        h.mix_i64(op.peer);
-        h.mix_i64(op.tag);
-        h.mix_i64(static_cast<std::int64_t>(op.slot));
-        h.mix_i64(op.comm_elems);
-        h.mix_i64(op.alloc_bytes);
-        h.mix_i64(op.free_bytes);
-        h.mix_i64(op.transient_bytes);
-        h.mix_i64(op.combines_w ? 1 : 0);
-        h.mix_i64(static_cast<std::int64_t>(op.deps.size()));
-        for (const core::OpId d : op.deps) h.mix_i64(d);
-      }
-    }
-  }
-  append_i64(key, static_cast<std::int64_t>(h.a));
-  append_i64(key, static_cast<std::int64_t>(h.b));
-  append_i64(key, static_cast<std::int64_t>(item.base_memory.size()));
-  for (const std::int64_t b : item.base_memory) append_i64(key, b);
-  append_prices(key, item.cost);
-  return key;
-}
-
-template <typename Item>
-std::vector<SweepOutcome> Sweep::run_impl(const std::vector<Item>& items) {
+std::vector<SweepOutcome> Sweep::run(const std::vector<SweepItem>& items) {
+  HELIX_PROF_SCOPE("sweep.run");
   const auto n = static_cast<std::int64_t>(items.size());
   std::vector<SweepOutcome> results(items.size());
 
@@ -213,11 +152,6 @@ std::vector<SweepOutcome> Sweep::run_impl(const std::vector<Item>& items) {
     }
   }
 
-  // Each chunk of kGrain items owns one SimWorkspace, recycled across its
-  // slice. The grain is a constant, never derived from the thread count, so
-  // the partition is a fixed function of the item count and the reuse is
-  // identical for every thread count.
-  constexpr std::int64_t kGrain = 4;
   const auto todo = static_cast<std::int64_t>(pending.size());
   par::parallel_for(todo, kGrain, [&](std::int64_t begin, std::int64_t end,
                                       std::int64_t /*chunk*/) {
@@ -245,15 +179,30 @@ std::vector<SweepOutcome> Sweep::run_impl(const std::vector<Item>& items) {
   return results;
 }
 
-std::vector<SweepOutcome> Sweep::run(const std::vector<SweepItem>& items) {
-  HELIX_PROF_SCOPE("sweep.run");
-  return run_impl(items);
-}
-
 std::vector<SweepOutcome> Sweep::run_schedules(
     const std::vector<ScheduleItem>& items) {
   HELIX_PROF_SCOPE("sweep.run_schedules");
-  return run_impl(items);
+  const auto n = static_cast<std::int64_t>(items.size());
+  std::vector<SweepOutcome> results(items.size());
+  par::parallel_for(n, kGrain, [&](std::int64_t begin, std::int64_t end,
+                                   std::int64_t /*chunk*/) {
+    SimWorkspace ws;
+    for (std::int64_t i = begin; i < end; ++i) {
+      results[static_cast<std::size_t>(i)] =
+          evaluate(items[static_cast<std::size_t>(i)], ws);
+    }
+  });
+  std::int64_t failed = 0;
+  for (const SweepOutcome& out : results) failed += out.ok ? 0 : 1;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stats_.items += n;
+    stats_.evaluated += n;
+    stats_.failed += failed;
+  }
+  HELIX_PROF_COUNT("sweep.items", n);
+  HELIX_PROF_COUNT("sweep.evaluated", n);
+  return results;
 }
 
 SweepStats Sweep::stats() const {

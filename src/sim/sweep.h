@@ -6,6 +6,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/compiled.h"
 #include "core/cost.h"
 #include "core/problem.h"
 
@@ -13,7 +14,8 @@
 // pipeline problem, cost model) configurations — build the schedule, compile
 // it, simulate it — fanned over the src/par thread pool, with a memoised
 // result cache so repeated queries (interactive planners, nested grids that
-// share configurations) cost a hash lookup.
+// share configurations) cost a hash lookup. Already-compiled schedules (the
+// autotuner's candidates) take a second, unmemoised entry point.
 //
 // Determinism contract: results are returned in item order and each result
 // is a pure function of its item alone (schedule construction, compilation
@@ -34,12 +36,10 @@ struct SweepItem {
 };
 
 /// One ad-hoc schedule to evaluate (the autotuner's scoring path): the
-/// schedule is already built — compile + simulate only. `schedule` and
-/// `cost` are borrowed and must outlive the call; the memo cache keys on
-/// a content hash of the schedule and the cost model's price bits, so
-/// mutated copies never collide.
+/// schedule is already built and compiled — simulate only. `compiled` (with
+/// the Schedule it borrows) and `cost` must outlive the call.
 struct ScheduleItem {
-  const core::Schedule* schedule = nullptr;
+  const core::CompiledSchedule* compiled = nullptr;
   const core::CostModel* cost = nullptr;
   std::vector<std::int64_t> base_memory;  ///< per-stage resident bytes
 };
@@ -59,11 +59,11 @@ struct SweepOutcome {
 struct SweepStats {
   std::int64_t items = 0;       ///< items submitted across all runs
   std::int64_t evaluated = 0;   ///< cache misses: configurations simulated
-  std::int64_t cache_hits = 0;
-  std::int64_t failed = 0;      ///< items that produced ok == false
+  std::int64_t cache_hits = 0;  ///< run() only
+  std::int64_t failed = 0;      ///< evaluated items that produced ok == false
 };
 
-/// Outcomes are memoised across run() calls, keyed by memo_key. A hit
+/// run() outcomes are memoised across calls, keyed by memo_key. A hit
 /// returns the bits a fresh evaluation would, so the cache only skips
 /// recomputation; clear_cache() forces re-evaluation.
 class Sweep {
@@ -73,19 +73,17 @@ class Sweep {
   /// message — a planner can submit the full grid unfiltered.
   std::vector<SweepOutcome> run(const std::vector<SweepItem>& items);
 
-  /// Evaluate already-built schedules (compile + simulate, no family
-  /// builder). Same determinism and memoisation contract as run(); an item
-  /// whose schedule fails compilation (e.g. a dependency cycle) comes back
-  /// ok == false with the compiler's message.
+  /// Simulate already-compiled schedules (no family builder, no compile),
+  /// with run()'s determinism contract. Not memoised: every item is
+  /// evaluated, so scoring one compiled schedule twice simulates it twice.
+  /// The autotuner dedups its candidates before scoring, so a memo here
+  /// never hits. A null schedule or cost model comes back ok == false.
   std::vector<SweepOutcome> run_schedules(const std::vector<ScheduleItem>& items);
 
   SweepStats stats() const;
   void clear_cache();
 
  private:
-  template <typename Item>
-  std::vector<SweepOutcome> run_impl(const std::vector<Item>& items);
-
   mutable std::mutex mu_;
   std::unordered_map<std::string, SweepOutcome> cache_;  ///< key: memo_key()
   SweepStats stats_;
@@ -97,11 +95,5 @@ class Sweep {
 /// entries, and a model rebuilt at a recycled address with any changed
 /// price misses. Exposed for the determinism and cache-staleness tests.
 std::string memo_key(const SweepItem& item);
-
-/// Memo key for an ad-hoc schedule: a content hash of the full schedule
-/// (every op field and dependency, in program order) plus the cost model's
-/// price bits and base memory. Two structurally identical schedules share a
-/// key; any mutation — reordering included — changes it.
-std::string memo_key(const ScheduleItem& item);
 
 }  // namespace helix::sim

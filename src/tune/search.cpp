@@ -1,10 +1,12 @@
 #include "tune/search.h"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 #include <unordered_set>
 #include <utility>
 
+#include "core/compiled.h"
 #include "core/validator.h"
 #include "obs/prof.h"
 #include "schedules/registry.h"
@@ -52,14 +54,20 @@ double score_outcome(const sim::SweepOutcome& out, std::int64_t cap) {
   return s;
 }
 
-/// helix_check's IR gate: structure + per-micro-batch semantic order (one
-/// call; validate_semantics runs validate_structure first) + exactly-once
-/// coverage. Mutations preserve these by construction; the gate is the
-/// backstop that makes "every accepted candidate is executable and trains
-/// the same math" an invariant of the search, not a property of the
-/// mutation set.
-bool passes_ir_gate(const core::Schedule& sched) {
-  return core::validate_semantics(sched).ok && core::validate_coverage(sched).ok;
+/// helix_check's IR gate on one compile of `sched`: structure (compile plus
+/// validate_semantics' own structural checks) + per-micro-batch semantic
+/// order + exactly-once coverage. Mutations preserve these by construction;
+/// the gate is the backstop that makes "every accepted candidate is
+/// executable and trains the same math" an invariant of the search, not a
+/// property of the mutation set. Returns the compiled form for scoring, or
+/// nullopt when the gate refuses the schedule.
+std::optional<core::CompiledSchedule> ir_gate(const core::Schedule& sched) {
+  try {
+    core::CompiledSchedule cs = core::CompiledSchedule::build(sched);
+    if (core::validate_semantics(cs).ok && core::validate_coverage(sched).ok) return cs;
+  } catch (const std::logic_error&) {  // compile refused the schedule
+  }
+  return std::nullopt;
 }
 
 Provenance seed_provenance(const core::PipelineProblem& pr,
@@ -72,32 +80,39 @@ Provenance seed_provenance(const core::PipelineProblem& pr,
   return prov;
 }
 
-/// Score `genomes[begin..end)` in one batched sweep call; appends Scored
-/// entries (dropping IR-gate failures) to `out`.
+/// Gate and score `genomes` in one batched sweep call; appends Scored
+/// entries (dropping IR-gate failures) to `out`. Each candidate is lowered
+/// and compiled once, and the gate's compiled form is what the sweep
+/// simulates.
 void score_batch(std::vector<Genome>&& genomes, sim::Sweep& sweep,
                  const core::CostModel& cost,
                  const std::vector<std::int64_t>& base_memory,
                  std::int64_t memory_cap, TuneReport& report,
                  std::vector<Scored>& out) {
-  // Lower every genome once; the sweep borrows the schedules for the call.
+  // Reserved up front and never grown past it: each compiled form borrows
+  // its lowered schedule by address.
   std::vector<core::Schedule> lowered;
+  std::vector<core::CompiledSchedule> compiled;
   std::vector<Genome> kept;
   lowered.reserve(genomes.size());
+  compiled.reserve(genomes.size());
   kept.reserve(genomes.size());
   for (Genome& g : genomes) {
     HELIX_PROF_SCOPE("tune.gate");
-    core::Schedule s = g.table.lower();
-    if (!passes_ir_gate(s)) {
+    lowered.push_back(g.table.lower());
+    std::optional<core::CompiledSchedule> cs = ir_gate(lowered.back());
+    if (!cs) {
+      lowered.pop_back();
       ++report.candidates_invalid;
       continue;
     }
-    lowered.push_back(std::move(s));
+    compiled.push_back(std::move(*cs));
     kept.push_back(std::move(g));
   }
   std::vector<sim::ScheduleItem> items;
-  items.reserve(lowered.size());
-  for (const core::Schedule& s : lowered) {
-    items.push_back(sim::ScheduleItem{&s, &cost, base_memory});
+  items.reserve(compiled.size());
+  for (const core::CompiledSchedule& cs : compiled) {
+    items.push_back(sim::ScheduleItem{&cs, &cost, base_memory});
   }
   const std::vector<sim::SweepOutcome> outcomes = sweep.run_schedules(items);
   report.candidates_scored += static_cast<std::int64_t>(outcomes.size());

@@ -17,12 +17,14 @@
 //    best hand-built schedules *and* can be restricted to a naive seed to
 //    prove it rediscovers the good ones.
 //  * Generations: each beam parent spawns children by 1..2 random mutations
-//    (tune/mutate.h); children are deduped by table fingerprint, checked
-//    against the helix_check IR gate (validate_structure / semantics /
-//    coverage — mutations are safe by construction, so this is a backstop,
-//    and regeneration mutations go through the family builders), then
-//    scored in one sim::Sweep::run_schedules batch — parallel over the
-//    src/par pool, memoised across generations.
+//    (tune/mutate.h); a child copies its parent's op order and shares its
+//    lift. Children are deduped by table fingerprint, then each is lowered
+//    and compiled once: the helix_check IR gate (validate_structure /
+//    semantics / coverage — mutations are safe by construction, so this is
+//    a backstop, and regeneration mutations go through the family builders)
+//    checks that compiled form, and one sim::Sweep::run_schedules batch,
+//    parallel over the src/par pool, simulates it. Nothing is memoised:
+//    dedup already keeps every scored candidate distinct.
 //  * Selection: parents + children, best `beam_width` by score survive.
 //    Score is simulated makespan, plus a proportional penalty above the
 //    caller's peak-memory cap so an infeasible beam still has a gradient
@@ -76,18 +78,20 @@ struct TuneReport {
 };
 
 /// Search for the best schedule for (problem, cost). `sweep` is the scoring
-/// oracle — pass a caller-owned instance to share its memo cache across
-/// tune() calls (cluster_planner does); null uses a private one.
+/// oracle — pass a caller-owned instance to read its stats across tune()
+/// calls (cluster_planner does); null uses a private one.
 /// `base_memory` is forwarded to the simulator (per-stage resident bytes).
 /// Throws std::invalid_argument naming the field when beam_width < 1 or
 /// generations, children_per_parent, patience or memory_cap_bytes is
 /// negative, and when no seed family is applicable.
 ///
 /// Profiling sites (obs/prof.h), all inside tune.search: tune.mutate (one
-/// child's mutations), tune.fingerprint (its dedup hash), tune.gate (lower
-/// plus the IR gate, per candidate), and the counters tune.legality.checks
-/// and tune.legality.visited (ops the bounded swap checks and the order
-/// repairs touched).
+/// child's mutations), tune.fingerprint (its dedup hash), tune.gate (lower,
+/// the one compile and the IR gate, per candidate), and the counters
+/// tune.legality.checks and tune.legality.visited (ops the bounded swap
+/// checks and the order repairs touched). Each gated candidate runs
+/// core.compile once, so a search's core.compile count is sweep.evaluated
+/// plus candidates_invalid.
 TuneReport tune(const core::PipelineProblem& problem,
                 const core::CostModel& cost, const TuneOptions& opt,
                 sim::Sweep* sweep = nullptr,

@@ -4,14 +4,20 @@
 // once over every core::semantic_order_edges list. The expected values were
 // captured from the previous checker — an adjacency-list graph walked with
 // one BFS per chain edge, beside the tuner's own copy of the chain order —
-// so a changed verdict or a reordered constraint edge fails here.
+// so a changed verdict or a reordered constraint edge fails here. Every
+// corpus schedule that compiles is also checked through validate_semantics'
+// compiled-form overload, which must report exactly what the Schedule
+// overload does.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <optional>
+#include <stdexcept>
 
 #include "checker_corpus.h"
+#include "core/compiled.h"
 #include "core/validator.h"
 
 using namespace helix;
@@ -40,12 +46,24 @@ TEST(CheckerDifferential, VerdictsAndOrderEdgesMatchPinnedHashes) {
   Fnv verdicts;
   Fnv edges;
   std::int64_t cases = 0;
+  std::int64_t compiled = 0;
   std::int64_t passed[3] = {0, 0, 0};
   const auto t0 = std::chrono::steady_clock::now();
   corpus::for_each_corpus_schedule(spec, [&](const core::Schedule& s) {
-    const bool ok[3] = {core::validate_structure(s).ok,
-                        core::validate_semantics(s).ok,
+    const core::ValidationResult semantics = core::validate_semantics(s);
+    const bool ok[3] = {core::validate_structure(s).ok, semantics.ok,
                         core::validate_coverage(s).ok};
+    std::optional<core::CompiledSchedule> cs;
+    try {
+      cs.emplace(core::CompiledSchedule::build(s));
+    } catch (const std::logic_error&) {
+    }
+    if (cs) {
+      const core::ValidationResult via_compiled = core::validate_semantics(*cs);
+      EXPECT_EQ(via_compiled.ok, semantics.ok) << s.name;
+      EXPECT_EQ(via_compiled.errors, semantics.errors) << s.name;
+      ++compiled;
+    }
     verdicts.mix((ok[0] ? 1u : 0u) | (ok[1] ? 2u : 0u) | (ok[2] ? 4u : 0u));
     const auto list = core::semantic_order_edges(s);
     edges.mix(list.size());
@@ -58,9 +76,10 @@ TEST(CheckerDifferential, VerdictsAndOrderEdgesMatchPinnedHashes) {
   });
   const double secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  std::printf("corpus: %lld cases, passed structure %lld, semantics %lld, "
-              "coverage %lld, %.3f s\n",
-              static_cast<long long>(cases), static_cast<long long>(passed[0]),
+  std::printf("corpus: %lld cases (%lld compile), passed structure %lld, "
+              "semantics %lld, coverage %lld, %.3f s\n",
+              static_cast<long long>(cases), static_cast<long long>(compiled),
+              static_cast<long long>(passed[0]),
               static_cast<long long>(passed[1]), static_cast<long long>(passed[2]),
               secs);
   std::printf("hashes: verdicts 0x%016llx, edges 0x%016llx\n",
@@ -70,9 +89,12 @@ TEST(CheckerDifferential, VerdictsAndOrderEdgesMatchPinnedHashes) {
   EXPECT_EQ(cases, 6968);
   EXPECT_EQ(verdicts.h, 0x1f6bbd057704cd44ull);
   EXPECT_EQ(edges.h, 0x86abe6289641be61ull);
-  // The corpus must exercise both sides of every checker.
+  // The corpus must exercise both sides of every checker, and the compiled
+  // overload on schedules it passes and on schedules it fails.
   for (int i = 0; i < 3; ++i) {
     EXPECT_GT(passed[i], cases / 10);
     EXPECT_LT(passed[i], cases);
   }
+  EXPECT_GT(compiled, passed[1]);
+  EXPECT_LT(compiled, cases);
 }

@@ -10,6 +10,7 @@
 
 #include "core/cost.h"
 #include "core/validator.h"
+#include "obs/prof.h"
 #include "sim/sweep.h"
 #include "tune/search.h"
 
@@ -131,6 +132,28 @@ TEST(Search, MemoryCapSteersSelectionWhenFeasible) {
   ASSERT_TRUE(rep.best.outcome.ok);
   EXPECT_LE(rep.best.outcome.max_peak_memory, rc_peak)
       << "lineage: " << rep.best.lineage;
+}
+
+// Each gated candidate is lowered and compiled once: the IR gate checks that
+// compiled form and the sweep simulates the same one.
+TEST(Search, CompilesEachCandidateOnce) {
+  const core::PipelineProblem pr = make_problem(4, 8, 8);
+  const core::UnitCostModel cost = priced_cost();
+  tune::TuneOptions opt = short_budget();
+  opt.seed_families = {"helix_naive"};
+  obs::prof::Registry reg;
+  tune::TuneReport rep;
+  {
+    obs::prof::AttachGuard guard(reg);
+    rep = tune::tune(pr, cost, opt);
+  }
+  const obs::prof::Report prof = reg.report();
+  const obs::prof::SiteStats* compile = prof.find("", "core.compile");
+  ASSERT_NE(compile, nullptr);
+  const std::int64_t evaluated = prof.counter_total("sweep.evaluated");
+  EXPECT_GT(evaluated, 1);
+  EXPECT_EQ(evaluated, rep.candidates_scored);
+  EXPECT_EQ(compile->count, evaluated + rep.candidates_invalid);
 }
 
 TEST(Search, ThrowsWhenNoSeedFamilyApplies) {
