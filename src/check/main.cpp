@@ -9,10 +9,15 @@
 //
 // Exit status 0 iff every config trained to bit-identical weights under
 // every applicable schedule family (see DESIGN.md "Equivalence contract").
+// Bad input (an unknown argument, a number that is not whole or out of its
+// flag's range) prints the message and the usage and exits 2.
+#include <charconv>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -20,49 +25,75 @@
 
 namespace {
 
-bool parse_flag(const char* arg, const char* name, long* value) {
+/// Upper bounds of the size flags: every config is a training run.
+constexpr int kMaxConfigs = 1 << 16;
+constexpr int kMaxSteps = 1 << 10;
+
+/// The value of `arg` when it reads `name=value`, else nullptr.
+const char* flag_value(const char* arg, const char* name) {
   const std::size_t n = std::strlen(name);
-  if (std::strncmp(arg, name, n) != 0 || arg[n] != '=') return false;
-  *value = std::strtol(arg + n + 1, nullptr, 10);
-  return true;
+  return std::strncmp(arg, name, n) == 0 && arg[n] == '=' ? arg + n + 1 : nullptr;
+}
+
+/// `text` as a whole number in [lo, hi]; otherwise throws
+/// std::invalid_argument naming the flag.
+template <typename T>
+T parse_whole(const char* flag, const char* text, T lo, T hi) {
+  T v{};
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, v);
+  if (ec != std::errc() || ptr != end || v < lo || v > hi) {
+    throw std::invalid_argument(std::string("bad ") + flag + " '" + text +
+                                "': expected a whole number in [" +
+                                std::to_string(lo) + ", " + std::to_string(hi) + "]");
+  }
+  return v;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  long seed = 2026;
-  long count = 24;
-  long budget_seconds = 0;  // 0 = no budget
-  long steps_override = 0;  // 0 = per-config default
+  std::uint64_t seed = 2026;
+  int count = 24;
+  std::int64_t budget_seconds = 0;  // 0 = no budget
+  int steps_override = 0;           // 0 = per-config default
   bool slice = false;
   bool list_only = false;
-  for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    if (parse_flag(a, "--seed", &seed) || parse_flag(a, "--configs", &count) ||
-        parse_flag(a, "--budget-seconds", &budget_seconds) ||
-        parse_flag(a, "--steps", &steps_override)) {
-      continue;
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const char* a = argv[i];
+      if (const char* v = flag_value(a, "--seed")) {
+        seed = parse_whole("--seed", v, std::uint64_t{0},
+                           std::numeric_limits<std::uint64_t>::max());
+      } else if (const char* v = flag_value(a, "--configs")) {
+        count = parse_whole("--configs", v, 1, kMaxConfigs);
+      } else if (const char* v = flag_value(a, "--budget-seconds")) {
+        budget_seconds = parse_whole("--budget-seconds", v, std::int64_t{0},
+                                     std::numeric_limits<std::int64_t>::max());
+      } else if (const char* v = flag_value(a, "--steps")) {
+        steps_override = parse_whole("--steps", v, 0, kMaxSteps);
+      } else if (std::strcmp(a, "--slice") == 0) {
+        slice = true;
+      } else if (std::strcmp(a, "--list") == 0) {
+        list_only = true;
+      } else {
+        throw std::invalid_argument(std::string("unknown argument ") + a);
+      }
     }
-    if (std::strcmp(a, "--slice") == 0) {
-      slice = true;
-    } else if (std::strcmp(a, "--list") == 0) {
-      list_only = true;
-    } else {
-      std::fprintf(stderr,
-                   "unknown argument %s\nusage: helix_check [--seed=N] "
-                   "[--configs=N] [--steps=K] [--budget-seconds=S] [--slice] "
-                   "[--list]\n",
-                   a);
-      return 2;
-    }
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr,
+                 "helix_check: %s\nusage: helix_check [--seed=N] "
+                 "[--configs=N] [--steps=K] [--budget-seconds=S] [--slice] "
+                 "[--list]\n",
+                 e.what());
+    return 2;
   }
 
   std::vector<helix::check::CheckConfig> configs =
       slice ? helix::check::slice_configs()
-            : helix::check::generate_configs(static_cast<std::uint64_t>(seed),
-                                             static_cast<int>(count));
+            : helix::check::generate_configs(seed, count);
   if (steps_override > 0) {
-    for (auto& c : configs) c.steps = static_cast<int>(steps_override);
+    for (auto& c : configs) c.steps = steps_override;
   }
   if (list_only) {
     for (const auto& c : configs) {
