@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <climits>
+#include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -79,6 +82,138 @@ TEST(CompiledSchedule, SoaFieldsMirrorSourceOpsAcrossFamilies) {
       }
     }
   }
+}
+
+// Pin of the whole compiled form. Every registry family that applies is
+// built on a small grid (p in {2, 3, 4}, m in {p, 2p, 4p}, L = 2p, LM head on
+// and off, unit costs) and compiled; the hash covers each op record by id
+// with its dependencies in order, every stage program and compute chain,
+// the same-stream predecessors, the rendezvous match and both tag tables,
+// the successor CSR, the topological order, the memory-event counts and the
+// edge count. Every run prints each family in kExpected's format, so a
+// re-capture pastes the rows printed on the parent commit; a moved row
+// means a changed compiled form, and with it possibly changed timestamps.
+namespace {
+
+struct Fnv {
+  std::uint64_t h = 1469598103934665603ull;
+  void mix(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  }
+  void mix_signed(std::int64_t v) { mix(static_cast<std::uint64_t>(v)); }
+  template <typename T>
+  void mix_ids(const T* begin, const T* end) {
+    mix(static_cast<std::uint64_t>(end - begin));
+    for (const T* it = begin; it != end; ++it) mix_signed(*it);
+  }
+  template <typename T>
+  void mix_ids(const std::vector<T>& v) {
+    mix_ids(v.data(), v.data() + v.size());
+  }
+};
+
+std::uint64_t hash_compiled(const CompiledSchedule& cs) {
+  Fnv f;
+  f.mix_signed(cs.num_stages);
+  f.mix_signed(cs.num_micro_batches);
+  f.mix_signed(cs.num_layers);
+  f.mix(cs.num_ops());
+  f.mix(cs.num_edges);
+  for (std::size_t i = 0; i < cs.num_ops(); ++i) {
+    const OpId id = static_cast<OpId>(i);
+    const Op& op = cs.op(id);
+    f.mix_signed(op.id);
+    f.mix(static_cast<std::uint64_t>(op.kind));
+    f.mix_signed(op.stage);
+    f.mix_signed(op.mb);
+    f.mix_signed(op.layer);
+    f.mix_signed(op.peer);
+    f.mix_signed(op.tag);
+    f.mix(static_cast<std::uint64_t>(op.slot));
+    f.mix_signed(op.comm_elems);
+    f.mix_signed(op.alloc_bytes);
+    f.mix_signed(op.free_bytes);
+    f.mix_signed(op.transient_bytes);
+    f.mix(op.combines_w ? 1 : 0);
+    f.mix_ids(cs.deps_begin(id), cs.deps_end(id));
+  }
+  for (int s = 0; s < cs.num_stages; ++s) {
+    f.mix_ids(cs.program_begin(s), cs.program_end(s));
+    f.mix_ids(cs.compute_begin(s), cs.compute_end(s));
+  }
+  f.mix_ids(cs.stream_pred);
+  f.mix_ids(cs.matching_send);
+  f.mix_ids(cs.send_of_tag);
+  f.mix_ids(cs.recv_of_tag);
+  f.mix_ids(cs.succ_offset);
+  f.mix_ids(cs.succ_edges);
+  f.mix_ids(cs.topo);
+  f.mix_ids(cs.mem_count);
+  return f.h;
+}
+
+struct PinRow {
+  const char* family;
+  int schedules;
+  std::uint64_t hash;
+};
+
+constexpr PinRow kExpected[] = {
+    {"1f1b", 18, 0x64dc7b6bf5e32326ull},
+    {"gpipe", 18, 0x4f19903ec2d74d99ull},
+    {"zb1p", 18, 0x7d29822750bc21c3ull},
+    {"zb2p", 18, 0x6dd09655c4057a45ull},
+    {"coexec", 18, 0x95c3ecd60ccb2282ull},
+    {"interleaved", 18, 0x1569f5d84cb3430aull},
+    {"helix_naive", 18, 0xf8ddfe03179a79fcull},
+    {"helix_two_fold", 12, 0x04e7630a01adebbcull},
+    {"helix_two_fold_rc", 12, 0xd981de2c5b24a35bull},
+    {"helix_tuned", 12, 0xe09ee4ce2cff5e9full},
+};
+
+}  // namespace
+
+TEST(CompiledSchedule, CompiledFormMatchesPinnedHashes) {
+  const auto t0 = std::chrono::steady_clock::now();
+  const core::UnitCostModel cost;
+  std::size_t row = 0;
+  for (const schedules::FamilySpec& fam : schedules::family_registry()) {
+    Fnv f;
+    int schedules = 0;
+    for (int p = 2; p <= 4; ++p) {
+      for (const int m : {p, 2 * p, 4 * p}) {
+        for (const bool head : {false, true}) {
+          core::PipelineProblem pr = grid_problem(p);
+          pr.m = m;
+          pr.L = 2 * p;
+          pr.include_lm_head = head;
+          pr.head_stash_bytes = head ? 5 : 0;
+          pr.logits_transient_bytes = head ? 7 : 0;
+          if (!fam.applicable(pr)) continue;
+          f.mix_signed(p);
+          f.mix_signed(m);
+          f.mix(head ? 1 : 0);
+          f.mix(hash_compiled(CompiledSchedule::build(fam.build(pr, cost))));
+          ++schedules;
+        }
+      }
+    }
+    std::printf("    {\"%s\", %d, 0x%016llxull},\n", fam.key, schedules,
+                static_cast<unsigned long long>(f.h));
+    if (row < std::size(kExpected)) {
+      EXPECT_STREQ(kExpected[row].family, fam.key);
+      EXPECT_EQ(kExpected[row].schedules, schedules) << fam.key;
+      EXPECT_EQ(kExpected[row].hash, f.h) << fam.key;
+    }
+    ++row;
+  }
+  EXPECT_EQ(row, std::size(kExpected));
+  const double secs =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  std::printf("compiled-form pin: %.3f s\n", secs);
 }
 
 TEST(CompiledSchedule, TagTablesAndRendezvousAreDense) {
