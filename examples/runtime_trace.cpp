@@ -87,7 +87,8 @@ int run_health_demo(const std::string& out_dir) {
   comm::FaultPlan plan;
   {
     const core::Schedule sched = runtime::build_numeric_schedule(cfg, options);
-    for (const core::Op& op : sched.stage_ops[0]) {
+    for (const core::OpId id : sched.programs[0]) {
+      const core::Op& op = sched.ops[static_cast<std::size_t>(id)];
       if (op.kind == core::OpKind::kSend) {
         plan.deliveries.emplace_back(0, op.peer, op.tag,
                                      comm::DeliveryFault::Action::kHang);

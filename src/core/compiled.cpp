@@ -3,12 +3,13 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "obs/prof.h"
 
 namespace helix::core {
 
-CompiledSchedule CompiledSchedule::build(const Schedule& sched) {
+CompiledSchedule CompiledSchedule::build(Schedule sched) {
   HELIX_PROF_SCOPE("core.compile");
   if (sched.num_micro_batches < 0 || sched.num_micro_batches > kMaxShape ||
       sched.num_layers < 0 || sched.num_layers > kMaxShape) {
@@ -17,148 +18,86 @@ CompiledSchedule CompiledSchedule::build(const Schedule& sched) {
         " or num_layers " + std::to_string(sched.num_layers) + " outside [0, " +
         std::to_string(kMaxShape) + "]");
   }
-  if (sched.num_stages < 0 ||
-      sched.stage_ops.size() != static_cast<std::size_t>(sched.num_stages)) {
-    throw std::logic_error("num_stages is " + std::to_string(sched.num_stages) +
-                           " but the schedule holds " +
-                           std::to_string(sched.stage_ops.size()) +
-                           " stage programs");
+  if (std::string fault = store_fault(sched); !fault.empty()) {
+    throw std::logic_error(std::move(fault));
   }
   CompiledSchedule cs;
-  cs.source = &sched;
   cs.num_stages = sched.num_stages;
   cs.num_micro_batches = sched.num_micro_batches;
   cs.num_layers = sched.num_layers;
+  const std::vector<Op>& ops = sched.ops;
+  const std::size_t n = ops.size();
 
-  const std::size_t n = sched.total_ops();
-  cs.ops.assign(n, nullptr);
-  for (std::size_t s = 0; s < sched.stage_ops.size(); ++s) {
-    for (const Op& op : sched.stage_ops[s]) {
-      if (op.id < 0 || static_cast<std::size_t>(op.id) >= n ||
-          cs.ops[static_cast<std::size_t>(op.id)] != nullptr) {
-        throw std::logic_error("non-dense op ids: " + describe(op) +
-                               " repeats an id or lies outside [0, " +
-                               std::to_string(n) + ")");
-      }
-      if (op.stage != static_cast<int>(s)) {
-        throw std::logic_error(describe(op) + " sits in stage " +
-                               std::to_string(s) + "'s program");
-      }
-      cs.ops[static_cast<std::size_t>(op.id)] = &op;
-    }
-  }
-
-  // SoA op fields, indexed by id.
-  cs.kind.resize(n);
-  cs.stage.resize(n);
-  cs.mb.resize(n);
-  cs.layer.resize(n);
-  cs.tag.resize(n);
-  cs.comm_elems.resize(n);
-  cs.combines_w.resize(n);
-  cs.mem_acquire.resize(n);
-  cs.mem_release.resize(n);
   std::int32_t max_tag = -1;
-  for (std::size_t i = 0; i < n; ++i) {
-    const Op& op = *cs.ops[i];
-    cs.kind[i] = op.kind;
-    cs.stage[i] = op.stage;
-    cs.mb[i] = op.mb;
-    cs.layer[i] = op.layer;
-    cs.tag[i] = op.tag;
-    cs.comm_elems[i] = op.comm_elems;
-    cs.combines_w[i] = op.combines_w ? 1 : 0;
-    cs.mem_acquire[i] = op.alloc_bytes + op.transient_bytes;
-    cs.mem_release[i] = op.free_bytes + op.transient_bytes;
-    if (is_comm(op.kind)) {
-      if (op.tag < 0 || static_cast<std::size_t>(op.tag) >= n) {
-        throw std::logic_error(describe(op) + ": tag " + std::to_string(op.tag) +
-                               " outside [0, " + std::to_string(n) + ")");
-      }
-      max_tag = std::max(max_tag, op.tag);
+  for (const Op& op : ops) {
+    if (!is_comm(op.kind)) continue;
+    if (op.tag < 0 || static_cast<std::size_t>(op.tag) >= n) {
+      throw std::logic_error(describe(op) + ": tag " + std::to_string(op.tag) +
+                             " outside [0, " + std::to_string(n) + ")");
     }
+    max_tag = std::max(max_tag, op.tag);
   }
 
   // Incoming explicit dependencies, CSR-packed in id order.
-  cs.dep_offset.assign(n + 1, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (const OpId d : cs.ops[i]->deps) {
-      if (d < 0 || static_cast<std::size_t>(d) >= n) {
-        throw std::logic_error(describe(*cs.ops[i]) +
-                               " depends on unknown op id " + std::to_string(d));
-      }
-    }
-    cs.dep_offset[i + 1] =
-        cs.dep_offset[i] + static_cast<std::uint32_t>(cs.ops[i]->deps.size());
-  }
-  cs.dep_edges.resize(cs.dep_offset[n]);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::uint32_t at = cs.dep_offset[i];
-    for (const OpId d : cs.ops[i]->deps) cs.dep_edges[at++] = d;
-  }
+  DepLists deps = pack_deps(sched);
+  cs.dep_offset = std::move(deps.offset);
+  cs.dep_edges = std::move(deps.edges);
 
   // Dense tag tables. ScheduleBuilder assigns tags densely from 0, so the
   // tables are ~one slot per transfer; sizing by max_tag (< n, checked
   // above) also tolerates hand-built sparse tags.
   cs.send_of_tag.assign(static_cast<std::size_t>(max_tag + 1), kNoOp);
   cs.recv_of_tag.assign(static_cast<std::size_t>(max_tag + 1), kNoOp);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!is_comm(cs.kind[i])) continue;
-    auto& table = cs.kind[i] == OpKind::kSend ? cs.send_of_tag : cs.recv_of_tag;
-    OpId& slot = table[static_cast<std::size_t>(cs.tag[i])];
+  for (const Op& op : ops) {
+    if (!is_comm(op.kind)) continue;
+    auto& table = op.kind == OpKind::kSend ? cs.send_of_tag : cs.recv_of_tag;
+    OpId& slot = table[static_cast<std::size_t>(op.tag)];
     if (slot != kNoOp) {
-      throw std::logic_error(describe(cs.op(slot)) + " and " +
-                             describe(*cs.ops[i]) + " share tag " +
-                             std::to_string(cs.tag[i]));
+      throw std::logic_error(describe(ops[static_cast<std::size_t>(slot)]) + " and " +
+                             describe(op) + " share tag " + std::to_string(op.tag));
     }
-    slot = static_cast<OpId>(i);
+    slot = op.id;
   }
   cs.matching_send.assign(n, kNoOp);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!is_comm(cs.kind[i])) continue;
-    const auto t = static_cast<std::size_t>(cs.tag[i]);
-    const bool send = cs.kind[i] == OpKind::kSend;
+  for (const Op& op : ops) {
+    if (!is_comm(op.kind)) continue;
+    const auto t = static_cast<std::size_t>(op.tag);
+    const bool send = op.kind == OpKind::kSend;
     if ((send ? cs.recv_of_tag : cs.send_of_tag)[t] == kNoOp) {
-      throw std::logic_error(describe(*cs.ops[i]) + ": no " +
-                             (send ? "Recv" : "Send") + " carries tag " +
-                             std::to_string(t));
+      throw std::logic_error(describe(op) + ": no " + (send ? "Recv" : "Send") +
+                             " carries tag " + std::to_string(t));
     }
-    if (!send) cs.matching_send[i] = cs.send_of_tag[t];
+    if (!send) cs.matching_send[static_cast<std::size_t>(op.id)] = cs.send_of_tag[t];
   }
 
-  // Per-stage chains: the full program, the compute-stream subsequence, the
-  // same-stream predecessor of every op, and the exact memory-event count
-  // (the simulator's exact-reserve contract).
+  // Per-stage chains: the compute-stream subsequence, the same-stream
+  // predecessor of every op, and the exact memory-event count (the
+  // simulator's exact-reserve contract).
   const auto ns = static_cast<std::size_t>(sched.num_stages);
-  cs.stage_offset.assign(ns + 1, 0);
   cs.compute_offset.assign(ns + 1, 0);
   cs.mem_count.assign(ns, 0);
   for (std::size_t s = 0; s < ns; ++s) {
     std::uint32_t compute = 0;
-    for (const Op& op : sched.stage_ops[s]) {
+    for (const OpId id : sched.programs[s]) {
+      const Op& op = ops[static_cast<std::size_t>(id)];
       if (is_compute(op.kind)) ++compute;
       if (op.alloc_bytes + op.transient_bytes != 0) ++cs.mem_count[s];
       if (op.free_bytes + op.transient_bytes != 0) ++cs.mem_count[s];
     }
-    cs.stage_offset[s + 1] =
-        cs.stage_offset[s] +
-        static_cast<std::uint32_t>(sched.stage_ops[s].size());
     cs.compute_offset[s + 1] = cs.compute_offset[s] + compute;
   }
-  cs.stage_program.resize(cs.stage_offset[ns]);
   cs.compute_chain.resize(cs.compute_offset[ns]);
   cs.stream_pred.assign(n, kNoOp);
   for (std::size_t s = 0; s < ns; ++s) {
-    std::uint32_t pat = cs.stage_offset[s];
     std::uint32_t cat = cs.compute_offset[s];
     OpId prev_compute = kNoOp;
     OpId prev_comm = kNoOp;
-    for (const Op& op : sched.stage_ops[s]) {
-      cs.stage_program[pat++] = op.id;
-      OpId& prev = is_comm(op.kind) ? prev_comm : prev_compute;
-      cs.stream_pred[static_cast<std::size_t>(op.id)] = prev;
-      prev = op.id;
-      if (is_compute(op.kind)) cs.compute_chain[cat++] = op.id;
+    for (const OpId id : sched.programs[s]) {
+      const bool comm = is_comm(ops[static_cast<std::size_t>(id)].kind);
+      OpId& prev = comm ? prev_comm : prev_compute;
+      cs.stream_pred[static_cast<std::size_t>(id)] = prev;
+      prev = id;
+      if (!comm) cs.compute_chain[cat++] = id;
     }
   }
 
@@ -176,7 +115,10 @@ CompiledSchedule CompiledSchedule::build(const Schedule& sched) {
     ++cs.num_edges;
   };
   for (std::size_t i = 0; i < n; ++i) {
-    for (const OpId d : cs.ops[i]->deps) count_edge(d, static_cast<OpId>(i));
+    for (const OpId* d = cs.deps_begin(static_cast<OpId>(i));
+         d != cs.deps_end(static_cast<OpId>(i)); ++d) {
+      count_edge(*d, static_cast<OpId>(i));
+    }
   }
   for (std::size_t i = 0; i < n; ++i) {
     const OpId sp = cs.stream_pred[i];
@@ -198,12 +140,15 @@ CompiledSchedule CompiledSchedule::build(const Schedule& sched) {
     cs.succ_edges[cursor[static_cast<std::size_t>(from)]++] = to;
   };
   for (std::size_t i = 0; i < n; ++i) {
-    for (const OpId d : cs.ops[i]->deps) fill_edge(d, static_cast<OpId>(i));
+    for (const OpId* d = cs.deps_begin(static_cast<OpId>(i));
+         d != cs.deps_end(static_cast<OpId>(i)); ++d) {
+      fill_edge(*d, static_cast<OpId>(i));
+    }
   }
   for (std::size_t s = 0; s < ns; ++s) {
-    for (const Op& op : sched.stage_ops[s]) {
-      const OpId sp = cs.stream_pred[static_cast<std::size_t>(op.id)];
-      if (sp != kNoOp) fill_edge(sp, op.id);
+    for (const OpId id : sched.programs[s]) {
+      const OpId sp = cs.stream_pred[static_cast<std::size_t>(id)];
+      if (sp != kNoOp) fill_edge(sp, id);
     }
   }
   for (std::size_t i = 0; i < n; ++i) {
@@ -234,9 +179,10 @@ CompiledSchedule CompiledSchedule::build(const Schedule& sched) {
         preds.begin());
     throw std::logic_error("schedule has a dependency cycle (" +
                            std::to_string(n - cs.topo.size()) +
-                           " ops stuck, e.g. " + describe(*cs.ops[stuck]) + ")");
+                           " ops stuck, e.g. " + describe(ops[stuck]) + ")");
   }
   HELIX_PROF_COUNT("core.compiled.edges", cs.num_edges);
+  cs.sched_ = std::move(sched);
   return cs;
 }
 

@@ -1,6 +1,8 @@
 #include "core/filo.h"
 
+#include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/partition.h"
@@ -30,15 +32,19 @@ struct FlowState {
         grad_to_combo(m) {}
 };
 
-std::vector<OpId> dep(OpId a) {
-  return a == kNoOp ? std::vector<OpId>{} : std::vector<OpId>{a};
+/// Up to two deps, skipping kNoOp and a repeat, for ScheduleBuilder::add.
+struct Deps {
+  OpId ids[2] = {kNoOp, kNoOp};
+  std::size_t n = 0;
+  operator std::span<const OpId>() const { return {ids, n}; }
+};
+Deps deps2(OpId a, OpId b) {
+  Deps d;
+  if (a != kNoOp) d.ids[d.n++] = a;
+  if (b != kNoOp && b != a) d.ids[d.n++] = b;
+  return d;
 }
-std::vector<OpId> deps2(OpId a, OpId b) {
-  std::vector<OpId> v;
-  if (a != kNoOp) v.push_back(a);
-  if (b != kNoOp && b != a) v.push_back(b);
-  return v;
-}
+Deps dep(OpId a) { return deps2(a, kNoOp); }
 
 }  // namespace
 
@@ -120,7 +126,7 @@ Schedule build_helix_schedule(const PipelineProblem& pr, const HelixOptions& opt
           if (a != owner) {
             auto t = b.add_send(owner, a, pr.comm.pre_to_attn,
                                 flow.combo_out[g], g, c, DataSlot::kPreToAttn);
-            if (per_fold > 1) b.op(t.send).deps.push_back(block_last);
+            if (per_fold > 1) b.add_dep(t.send, block_last);
             flow.attn_ready[g] = Handoff::of(t);
           } else {
             flow.attn_ready[g] = Handoff::of(flow.combo_out[g]);
@@ -150,7 +156,7 @@ Schedule build_helix_schedule(const PipelineProblem& pr, const HelixOptions& opt
             auto t = b.add_send(a, next_owner, pr.comm.attn_to_post,
                                 attn_ids[static_cast<std::size_t>(k)], g, c,
                                 DataSlot::kAttnToPost);
-            if (per_fold > 1) b.op(t.send).deps.push_back(attn_ids.back());
+            if (per_fold > 1) b.add_dep(t.send, attn_ids.back());
             flow.attn_out[g] = Handoff::of(t);
           } else {
             flow.attn_out[g] =
@@ -228,7 +234,7 @@ Schedule build_helix_schedule(const PipelineProblem& pr, const HelixOptions& opt
             auto t = b.add_send(owner, a, pr.comm.attn_to_post,
                                 bwd_post[static_cast<std::size_t>(k)], g, c - 1,
                                 DataSlot::kGradToAttn);
-            if (per_fold > 1) b.op(t.send).deps.push_back(block_last);
+            if (per_fold > 1) b.add_dep(t.send, block_last);
             flow.grad_ready[g] = Handoff::of(t);
           } else {
             flow.grad_ready[g] =
@@ -258,7 +264,7 @@ Schedule build_helix_schedule(const PipelineProblem& pr, const HelixOptions& opt
             auto t = b.add_send(a, prev_owner, pr.comm.pre_to_attn,
                                 bwd_ids[static_cast<std::size_t>(k)], g, c - 1,
                                 DataSlot::kGradToPre);
-            if (per_fold > 1) b.op(t.send).deps.push_back(bwd_ids.front());
+            if (per_fold > 1) b.add_dep(t.send, bwd_ids.front());
             flow.grad_to_combo[g] = Handoff::of(t);
           } else {
             flow.grad_to_combo[g] =
@@ -281,7 +287,7 @@ Schedule build_helix_schedule_tuned(const PipelineProblem& problem,
   HELIX_PROF_SCOPE("build.helix_tuned");
   Schedule s = build_helix_schedule(problem, options);
   const int q = filo_loop_size(problem.p, options.two_fold);
-  if (problem.m > q) s = reorder_stage_programs(s, cost);
+  if (problem.m > q) s = reorder_stage_programs(std::move(s), cost);
   return s;
 }
 

@@ -33,16 +33,69 @@ std::string describe(const Op& op) {
          ", layer=" + std::to_string(op.layer) + ")";
 }
 
-std::vector<const Op*> Schedule::op_index() const {
-  std::vector<const Op*> idx(total_ops(), nullptr);
-  for (const auto& ops : stage_ops) {
-    for (const auto& op : ops) {
-      if (op.id >= 0 && static_cast<std::size_t>(op.id) < idx.size()) {
-        idx[op.id] = &op;
+DepLists pack_deps(const Schedule& sched) {
+  const std::size_t n = sched.ops.size();
+  const auto known = [n](OpId id) { return id >= 0 && static_cast<std::size_t>(id) < n; };
+  DepLists out;
+  out.offset.assign(n + 1, 0);
+  for (const Dep& d : sched.deps) {
+    if (known(d.op)) ++out.offset[static_cast<std::size_t>(d.op) + 1];
+  }
+  for (std::size_t i = 0; i < n; ++i) out.offset[i + 1] += out.offset[i];
+  out.edges.resize(out.offset[n]);
+  std::vector<std::uint32_t> at(out.offset.begin(), out.offset.end() - 1);
+  for (const Dep& d : sched.deps) {
+    if (known(d.op)) out.edges[at[static_cast<std::size_t>(d.op)]++] = d.dep;
+  }
+  return out;
+}
+
+std::string store_fault(const Schedule& sched) {
+  const std::size_t n = sched.ops.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (sched.ops[i].id != static_cast<OpId>(i)) {
+      return describe(sched.ops[i]) + " is stored at index " + std::to_string(i);
+    }
+  }
+  if (sched.num_stages < 0 ||
+      sched.programs.size() != static_cast<std::size_t>(sched.num_stages)) {
+    return "num_stages is " + std::to_string(sched.num_stages) +
+           " but the schedule holds " + std::to_string(sched.programs.size()) +
+           " stage programs";
+  }
+  std::vector<int> home(n, -1);  // the program holding each op
+  for (std::size_t s = 0; s < sched.programs.size(); ++s) {
+    for (const OpId id : sched.programs[s]) {
+      if (id < 0 || static_cast<std::size_t>(id) >= n) {
+        return "stage " + std::to_string(s) + "'s program holds op id " +
+               std::to_string(id) + " outside [0, " + std::to_string(n) + ")";
+      }
+      const Op& op = sched.ops[static_cast<std::size_t>(id)];
+      int& h = home[static_cast<std::size_t>(id)];
+      if (h >= 0) {
+        return describe(op) + " sits in stage " + std::to_string(h) +
+               "'s program and again in stage " + std::to_string(s) + "'s";
+      }
+      h = static_cast<int>(s);
+      if (op.stage != static_cast<int>(s)) {
+        return describe(op) + " sits in stage " + std::to_string(s) + "'s program";
       }
     }
   }
-  return idx;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (home[i] < 0) return describe(sched.ops[i]) + " sits in no stage program";
+  }
+  for (const Dep& d : sched.deps) {
+    if (d.op < 0 || static_cast<std::size_t>(d.op) >= n) {
+      return "a dependency on op id " + std::to_string(d.dep) +
+             " names unknown op id " + std::to_string(d.op);
+    }
+    if (d.dep < 0 || static_cast<std::size_t>(d.dep) >= n) {
+      return describe(sched.ops[static_cast<std::size_t>(d.op)]) +
+             " depends on unknown op id " + std::to_string(d.dep);
+    }
+  }
+  return {};
 }
 
 ScheduleBuilder::ScheduleBuilder(std::string name, int num_stages,
@@ -52,37 +105,36 @@ ScheduleBuilder::ScheduleBuilder(std::string name, int num_stages,
   sched_.num_stages = num_stages;
   sched_.num_micro_batches = num_micro_batches;
   sched_.num_layers = num_layers;
-  sched_.stage_ops.resize(num_stages);
+  sched_.programs.resize(num_stages);
 }
 
 OpId ScheduleBuilder::add(OpKind kind, int stage, int mb, int layer,
-                          std::vector<OpId> deps) {
+                          std::span<const OpId> deps) {
   if (stage < 0 || stage >= sched_.num_stages) {
     throw std::out_of_range("stage out of range");
   }
-  Op op;
-  op.id = next_id_++;
+  Op& op = sched_.ops.emplace_back();
+  op.id = static_cast<OpId>(sched_.ops.size() - 1);
   op.kind = kind;
   op.stage = static_cast<std::int16_t>(stage);
   op.mb = static_cast<std::int16_t>(mb);
   op.layer = static_cast<std::int16_t>(layer);
-  op.deps = std::move(deps);
-  locator_.emplace_back(stage, static_cast<int>(sched_.stage_ops[stage].size()));
-  sched_.stage_ops[stage].push_back(std::move(op));
-  last_ = next_id_ - 1;
-  return last_;
+  sched_.programs[static_cast<std::size_t>(stage)].push_back(op.id);
+  for (const OpId d : deps) sched_.deps.push_back({op.id, d});
+  return op.id;
 }
 
-Op& ScheduleBuilder::op(OpId id) {
-  if (id < 0 || id >= next_id_) throw std::out_of_range("bad op id");
-  auto [stage, index] = locator_[static_cast<std::size_t>(id)];
-  return sched_.stage_ops[stage][static_cast<std::size_t>(index)];
+void ScheduleBuilder::add_dep(OpId op, OpId dep) {
+  if (op < 0 || static_cast<std::size_t>(op) >= sched_.ops.size()) {
+    throw std::out_of_range("bad op id");
+  }
+  sched_.deps.push_back({op, dep});
 }
 
 ScheduleBuilder& ScheduleBuilder::with_memory(std::int64_t alloc,
                                               std::int64_t free_bytes,
                                               std::int64_t transient) {
-  Op& o = op(last_);
+  Op& o = sched_.ops.back();
   o.alloc_bytes = alloc;
   o.free_bytes = free_bytes;
   o.transient_bytes = transient;
@@ -90,15 +142,8 @@ ScheduleBuilder& ScheduleBuilder::with_memory(std::int64_t alloc,
 }
 
 ScheduleBuilder& ScheduleBuilder::decoupled() {
-  op(last_).combines_w = false;
+  sched_.ops.back().combines_w = false;
   return *this;
-}
-
-OpId ScheduleBuilder::add_transfer(int src, int dst, std::int64_t elems,
-                                   OpId producer, int mb, int layer,
-                                   DataSlot slot) {
-  const PendingTransfer t = add_send(src, dst, elems, producer, mb, layer, slot);
-  return add_recv(t);
 }
 
 ScheduleBuilder::PendingTransfer ScheduleBuilder::add_send(
@@ -114,9 +159,8 @@ ScheduleBuilder::PendingTransfer ScheduleBuilder::add_send(
   t.layer = layer;
   t.slot = slot;
   t.send = add(OpKind::kSend, src, mb, layer,
-               producer == kNoOp ? std::vector<OpId>{}
-                                 : std::vector<OpId>{producer});
-  Op& s = op(t.send);
+               std::span<const OpId>(&producer, producer == kNoOp ? 0 : 1));
+  Op& s = sched_.ops.back();
   s.peer = static_cast<std::int16_t>(dst);
   s.tag = t.tag;
   s.comm_elems = elems;
@@ -126,7 +170,7 @@ ScheduleBuilder::PendingTransfer ScheduleBuilder::add_send(
 
 OpId ScheduleBuilder::add_recv(const PendingTransfer& t) {
   const OpId recv = add(OpKind::kRecv, t.dst, t.mb, t.layer);
-  Op& r = op(recv);
+  Op& r = sched_.ops.back();
   r.peer = static_cast<std::int16_t>(t.src);
   r.tag = t.tag;
   r.comm_elems = t.elems;
@@ -138,11 +182,13 @@ OpId ScheduleBuilder::add_optim_step(int stage) {
   if (stage < 0 || stage >= sched_.num_stages) {
     throw std::out_of_range("stage out of range");
   }
-  std::vector<OpId> deps;
-  for (const Op& o : sched_.stage_ops[static_cast<std::size_t>(stage)]) {
-    if (produces_grad(o.kind)) deps.push_back(o.id);
+  const OpId optim = add(OpKind::kOptimStep, stage, -1, -1);
+  const std::vector<OpId>& program = sched_.programs[static_cast<std::size_t>(stage)];
+  for (std::size_t i = 0; i + 1 < program.size(); ++i) {
+    const OpId id = program[i];
+    if (produces_grad(sched_.ops[static_cast<std::size_t>(id)].kind)) add_dep(optim, id);
   }
-  return add(OpKind::kOptimStep, stage, -1, -1, std::move(deps));
+  return optim;
 }
 
 Schedule ScheduleBuilder::finish() && { return std::move(sched_); }

@@ -1,14 +1,17 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <string>
 #include <vector>
 
 // Schedule intermediate representation.
 //
-// A Schedule is a per-stage program: every pipeline stage owns an ordered
-// list of ops. Execution semantics (shared by the discrete-event simulator
-// in src/sim and the numerical runtime in src/runtime):
+// A Schedule is a per-stage program: every pipeline stage runs an ordered
+// list of ops, held as one flat store (see Schedule below). Execution
+// semantics (shared by the discrete-event simulator in src/sim and the
+// numerical runtime in src/runtime):
 //
 //  * Compute ops on one stage execute in list order on the stage's compute
 //    stream (an in-order CUDA stream in the real system).
@@ -19,8 +22,8 @@
 //    both comm streams for the transfer duration. This models NCCL p2p on a
 //    dedicated stream and reproduces the serialization bottleneck of the
 //    naive FILO schedule (paper Fig. 6a).
-//  * `deps` adds cross-stream edges: a compute op consuming received data
-//    depends on the Recv op; a Send depends on the producing compute op.
+//  * Dependencies add cross-stream edges: a compute op consuming received
+//    data depends on the Recv op; a Send depends on the producing compute op.
 //
 // Memory semantics: `alloc_bytes` is charged when the op starts and
 // `free_bytes` credited when it ends; `transient_bytes` is working memory
@@ -105,30 +108,52 @@ struct Op {
   std::int64_t free_bytes = 0;     ///< credited at op end
   std::int64_t transient_bytes = 0;  ///< working memory during the op only
   bool combines_w = true;  ///< backward-B op also performs backward-W (1F1B style)
-  std::vector<OpId> deps;  ///< cross-op dependencies (op ids)
 };
 
 /// "Kind(id=.., stage=.., mb=.., layer=..)": names an op in error messages.
 std::string describe(const Op& op);
 
+/// One dependency: `op` may start only after `dep` has finished.
+struct Dep {
+  OpId op = kNoOp;
+  OpId dep = kNoOp;
+};
+
+/// A schedule is one flat store of three parts: the op records by id, every
+/// dependency in the order it was added, and each stage's program as a row
+/// of op ids. An op's dependencies, in order, are its pairs in `deps`.
 struct Schedule {
   std::string name;
   int num_stages = 0;
   int num_micro_batches = 0;
   int num_layers = 0;
-  std::vector<std::vector<Op>> stage_ops;
+  std::vector<Op> ops;                   ///< ops[i].id == i
+  std::vector<Dep> deps;                 ///< in insertion order
+  std::vector<std::vector<OpId>> programs;  ///< per stage, in program order
 
+  /// The ops the stage programs hold.
   std::size_t total_ops() const noexcept {
     std::size_t n = 0;
-    for (const auto& v : stage_ops) n += v.size();
+    for (const auto& row : programs) n += row.size();
     return n;
   }
-
-  /// Flat view: pointers to every op, indexed by op id. Ops are created with
-  /// dense ids starting at 0. Hot-path consumers compile the schedule once
-  /// instead (core::CompiledSchedule keeps this locator plus SoA fields).
-  std::vector<const Op*> op_index() const;
 };
+
+/// Each op's dependencies CSR-packed by op id, in the order they were added:
+/// op i's are edges[offset[i] .. offset[i + 1]). Pairs naming an op outside
+/// [0, ops.size()) are skipped.
+struct DepLists {
+  std::vector<std::uint32_t> offset;
+  std::vector<OpId> edges;
+};
+DepLists pack_deps(const Schedule& sched);
+
+/// Why `sched` is not a well-formed store, naming the op or stage; empty
+/// when it is one. Checks that ops[i].id == i, that the schedule holds
+/// num_stages programs, that every program entry is in [0, ops.size()) and
+/// names an op whose `stage` is that program's, that every op sits in
+/// exactly one program, and that every dependency names known ops.
+std::string store_fault(const Schedule& sched);
 
 /// Incrementally builds a Schedule, keeping ids dense and tags unique.
 class ScheduleBuilder {
@@ -136,9 +161,16 @@ class ScheduleBuilder {
   ScheduleBuilder(std::string name, int num_stages, int num_micro_batches,
                   int num_layers);
 
-  /// Append a compute op to `stage`'s program; returns its id.
+  /// Append an op to `stage`'s program, depending on `deps` in order;
+  /// returns its id.
   OpId add(OpKind kind, int stage, int mb, int layer,
-           std::vector<OpId> deps = {});
+           std::span<const OpId> deps = {});
+  OpId add(OpKind kind, int stage, int mb, int layer,
+           std::initializer_list<OpId> deps) {
+    return add(kind, stage, mb, layer, std::span<const OpId>(deps.begin(), deps.size()));
+  }
+  /// Make the already added `op` depend on `dep` too, after its other deps.
+  void add_dep(OpId op, OpId dep);
 
   /// Set memory effects on the most recently added op.
   ScheduleBuilder& with_memory(std::int64_t alloc, std::int64_t free_bytes,
@@ -146,15 +178,9 @@ class ScheduleBuilder {
   /// Mark the most recently added backward-B op as decoupled from backward-W.
   ScheduleBuilder& decoupled();
 
-  /// Append a Send on `src` (depending on `producer`) and the matching Recv
-  /// on `dst`; returns the Recv id for consumers to depend on.
-  OpId add_transfer(int src, int dst, std::int64_t elems, OpId producer,
-                    int mb = -1, int layer = -1,
-                    DataSlot slot = DataSlot::kNone);
-
-  /// Half-open transfer for generators whose per-stage emission order differs
-  /// from global creation order: add_send appends only the Send; the matching
-  /// Recv is appended later at the receiver's program position via add_recv.
+  /// A transfer in two halves, so each lands at its own program position:
+  /// add_send appends the Send on `src` (depending on `producer`); add_recv
+  /// appends the matching Recv on `dst` later, at the receiver's position.
   struct PendingTransfer {
     OpId send = kNoOp;
     std::int32_t tag = -1;
@@ -199,15 +225,9 @@ class ScheduleBuilder {
 
   Schedule finish() &&;
 
-  int next_id() const noexcept { return next_id_; }
-  Op& op(OpId id);
-
  private:
   Schedule sched_;
-  std::vector<std::pair<int, int>> locator_;  ///< id -> (stage, index)
-  OpId next_id_ = 0;
   std::int32_t next_tag_ = 0;
-  OpId last_ = kNoOp;
 };
 
 }  // namespace helix::core

@@ -11,9 +11,10 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 }
 
-Schedule reorder_stage_programs(const Schedule& sched, const CostModel& cost) {
-  const std::vector<const Op*> ops = sched.op_index();
+Schedule reorder_stage_programs(Schedule sched, const CostModel& cost) {
+  const std::vector<Op>& ops = sched.ops;
   const std::size_t n = ops.size();
+  const DepLists deps = pack_deps(sched);
 
   // Dependency edges: explicit deps plus the send->recv tag edge (a recv may
   // be *picked* before its send completes — it then blocks its comm lane —
@@ -22,38 +23,37 @@ Schedule reorder_stage_programs(const Schedule& sched, const CostModel& cost) {
   // the recv's completion).
   // Dense tag table (builder tags start at 0 and stay dense).
   std::int32_t max_tag = -1;
-  for (const Op* op : ops) {
-    if (is_comm(op->kind)) max_tag = std::max(max_tag, op->tag);
+  for (const Op& op : ops) {
+    if (is_comm(op.kind)) max_tag = std::max(max_tag, op.tag);
   }
   std::vector<OpId> send_by_tag(static_cast<std::size_t>(max_tag + 1), kNoOp);
-  for (const Op* op : ops) {
-    if (op->kind == OpKind::kSend && op->tag >= 0) {
-      send_by_tag[static_cast<std::size_t>(op->tag)] = op->id;
+  for (const Op& op : ops) {
+    if (op.kind == OpKind::kSend && op.tag >= 0) {
+      send_by_tag[static_cast<std::size_t>(op.tag)] = op.id;
     }
   }
   std::vector<int> missing(n, 0);
   std::vector<std::vector<OpId>> succ(n);
   std::vector<OpId> matching_send(n, kNoOp);
-  for (const Op* op : ops) {
-    for (OpId d : op->deps) {
-      succ[static_cast<std::size_t>(d)].push_back(op->id);
-      ++missing[static_cast<std::size_t>(op->id)];
+  for (const Op& op : ops) {
+    const auto ui = static_cast<std::size_t>(op.id);
+    for (std::uint32_t e = deps.offset[ui]; e < deps.offset[ui + 1]; ++e) {
+      succ[static_cast<std::size_t>(deps.edges[e])].push_back(op.id);
+      ++missing[ui];
     }
-    if (op->kind == OpKind::kRecv) {
-      const OpId s = op->tag < 0
+    if (op.kind == OpKind::kRecv) {
+      const OpId s = op.tag < 0
                          ? kNoOp
-                         : send_by_tag[static_cast<std::size_t>(op->tag)];
+                         : send_by_tag[static_cast<std::size_t>(op.tag)];
       if (s == kNoOp) throw std::logic_error("reorder: recv without send");
-      matching_send[static_cast<std::size_t>(op->id)] = s;
-      succ[static_cast<std::size_t>(s)].push_back(op->id);
-      ++missing[static_cast<std::size_t>(op->id)];
+      matching_send[ui] = s;
+      succ[static_cast<std::size_t>(s)].push_back(op.id);
+      ++missing[ui];
     }
   }
 
   std::vector<double> dep_ready(n, 0.0);
   std::vector<double> data_ready(n, 0.0);  // recv: matching send end
-  std::vector<double> end_time(n, kInf);
-  std::vector<bool> scheduled(n, false);
   std::vector<double> lane_free(static_cast<std::size_t>(sched.num_stages) * 2, 0.0);
   const auto lane = [&](const Op& op) {
     return static_cast<std::size_t>(op.stage) * 2 + (is_comm(op.kind) ? 1 : 0);
@@ -67,7 +67,7 @@ Schedule reorder_stage_programs(const Schedule& sched, const CostModel& cost) {
   struct Placed {
     double start;
     std::size_t seq;
-    const Op* op;
+    OpId id;
   };
   std::vector<std::vector<Placed>> placed(static_cast<std::size_t>(sched.num_stages));
 
@@ -80,7 +80,7 @@ Schedule reorder_stage_programs(const Schedule& sched, const CostModel& cost) {
     double best_start = kInf, best_end = kInf;
     for (std::size_t ci = 0; ci < candidates.size(); ++ci) {
       const OpId id = candidates[ci];
-      const Op& op = *ops[static_cast<std::size_t>(id)];
+      const Op& op = ops[static_cast<std::size_t>(id)];
       const std::size_t ui = static_cast<std::size_t>(id);
       const double start = std::max(lane_free[lane(op)], dep_ready[ui]);
       double end;
@@ -105,41 +105,32 @@ Schedule reorder_stage_programs(const Schedule& sched, const CostModel& cost) {
     const OpId id = candidates[best];
     candidates[best] = candidates.back();
     candidates.pop_back();
-    const Op& op = *ops[static_cast<std::size_t>(id)];
+    const Op& op = ops[static_cast<std::size_t>(id)];
     const std::size_t ui = static_cast<std::size_t>(id);
-    scheduled[ui] = true;
-    end_time[ui] = best_end;
     lane_free[lane(op)] = best_end;
-    placed[static_cast<std::size_t>(op.stage)].push_back({best_start, seq++, &op});
+    placed[static_cast<std::size_t>(op.stage)].push_back({best_start, seq++, id});
     ++done;
     for (OpId s : succ[ui]) {
       const std::size_t us = static_cast<std::size_t>(s);
-      const Op& sop = *ops[us];
-      for (OpId d : sop.deps) {
-        if (d == id) dep_ready[us] = std::max(dep_ready[us], best_end);
+      for (std::uint32_t e = deps.offset[us]; e < deps.offset[us + 1]; ++e) {
+        if (deps.edges[e] == id) dep_ready[us] = std::max(dep_ready[us], best_end);
       }
       if (matching_send[us] == id) data_ready[us] = best_end;
       if (--missing[us] == 0) candidates.push_back(s);
     }
   }
 
-  Schedule out;
-  out.name = sched.name;
-  out.num_stages = sched.num_stages;
-  out.num_micro_batches = sched.num_micro_batches;
-  out.num_layers = sched.num_layers;
-  out.stage_ops.resize(static_cast<std::size_t>(sched.num_stages));
+  sched.programs.resize(static_cast<std::size_t>(sched.num_stages));
   for (int s = 0; s < sched.num_stages; ++s) {
     auto& v = placed[static_cast<std::size_t>(s)];
     std::sort(v.begin(), v.end(), [](const Placed& a, const Placed& b) {
       return a.start != b.start ? a.start < b.start : a.seq < b.seq;
     });
-    out.stage_ops[static_cast<std::size_t>(s)].reserve(v.size());
-    for (const Placed& pl : v) {
-      out.stage_ops[static_cast<std::size_t>(s)].push_back(*pl.op);
-    }
+    std::vector<OpId>& program = sched.programs[static_cast<std::size_t>(s)];
+    program.clear();
+    for (const Placed& pl : v) program.push_back(pl.id);
   }
-  return out;
+  return sched;
 }
 
 }  // namespace helix::core

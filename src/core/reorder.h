@@ -9,13 +9,13 @@
 // list-scheduling the dependency DAG under a cost model: one compute lane
 // and one comm lane per stage, ops greedily placed at their earliest
 // feasible start (ties broken by generator order, which encodes semantic
-// priority). Dependencies, payloads and memory effects are untouched, so
-// validation results carry over.
+// priority). Only the stage programs change: ops, dependencies, payloads and
+// memory effects are untouched, so validation results carry over.
 //
 // Used for FILO schedules with more than one loop, whose static generator
 // order over-serializes the loop wavefronts.
 namespace helix::core {
 
-Schedule reorder_stage_programs(const Schedule& sched, const CostModel& cost);
+Schedule reorder_stage_programs(Schedule sched, const CostModel& cost);
 
 }  // namespace helix::core

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <optional>
+#include <ranges>
 #include <stdexcept>
 
 #include "core/compiled.h"
@@ -21,9 +22,8 @@ bool outside_order(OpKind k) {
 /// payload sizes, non-empty payloads, non-negative memory deltas, and
 /// balanced alloc/free per stage.
 void check_compiled(const CompiledSchedule& cs, ValidationResult& res) {
-  for (std::size_t i = 0; i < cs.num_ops(); ++i) {
-    if (cs.kind[i] != OpKind::kSend) continue;
-    const Op& s = *cs.ops[i];
+  for (const Op& s : cs.schedule().ops) {
+    if (s.kind != OpKind::kSend) continue;
     const Op& r = cs.op(cs.recv_of_tag[static_cast<std::size_t>(s.tag)]);
     if (s.comm_elems <= 0) res.fail(describe(s) + ": empty payload");
     if (s.peer != r.stage || r.peer != s.stage) {
@@ -51,8 +51,8 @@ void check_compiled(const CompiledSchedule& cs, ValidationResult& res) {
   }
 }
 
-/// Compile `sched`; empty, with compile's message in `res`, when compile
-/// rejects it.
+/// Compile a copy of `sched`; empty, with compile's message in `res`, when
+/// compile rejects it.
 std::optional<CompiledSchedule> compile(const Schedule& sched, ValidationResult& res) {
   try {
     return CompiledSchedule::build(sched);
@@ -60,6 +60,11 @@ std::optional<CompiledSchedule> compile(const Schedule& sched, ValidationResult&
     res.fail(e.what());
     return std::nullopt;
   }
+}
+
+std::string program_entry_fault(const Schedule& sched, std::size_t stage, OpId id) {
+  return "stage " + std::to_string(stage) + "'s program holds op id " + std::to_string(id) +
+         " outside [0, " + std::to_string(sched.ops.size()) + ")";
 }
 
 std::string entry_name(const MicroBatchOrder::Entry& e) {
@@ -71,19 +76,21 @@ std::string entry_name(const MicroBatchOrder::Entry& e) {
 }
 
 /// Calls visit(mb, before, after, before_pos) for every per-micro-batch order
-/// edge among `ops`: micro batch by micro batch, the chain edges, then each
-/// follower after its anchor. An op the order does not hold, or of a micro
-/// batch outside [0, m), has no edges; of two ops at one (micro batch,
-/// position), the first in `ops` wins.
-template <typename Visit>
-void for_each_order_edge(const MicroBatchOrder& order, int m,
-                         const std::vector<const Op*>& ops, Visit&& visit) {
+/// edge among the ops `ids` names: micro batch by micro batch, the chain
+/// edges, then each follower after its anchor. An op the order does not
+/// hold, or of a micro batch outside [0, m), has no edges; of two ops at one
+/// (micro batch, position), the first in `ids` wins.
+template <typename Ids, typename Visit>
+void for_each_order_edge(const MicroBatchOrder& order, int m, const std::vector<Op>& ops,
+                         const Ids& ids, Visit&& visit) {
   std::vector<std::pair<std::array<int, 3>, OpId>> placed;  // (mb, pos, seq)
-  for (std::size_t k = 0; k < ops.size(); ++k) {
-    const Op& op = *ops[k];
+  int k = 0;
+  for (const OpId id : ids) {
+    const Op& op = ops[static_cast<std::size_t>(id)];
+    ++k;
     if (outside_order(op.kind) || op.mb < 0 || op.mb >= m) continue;
     const int pos = order.position(op.kind, op.layer, op.combines_w);
-    if (pos >= 0) placed.push_back({{op.mb, pos, static_cast<int>(k)}, op.id});
+    if (pos >= 0) placed.push_back({{op.mb, pos, k}, op.id});
   }
   std::sort(placed.begin(), placed.end());
   for (std::size_t lo = 0, hi = 0; lo < placed.size(); lo = hi) {
@@ -176,16 +183,19 @@ ValidationResult validate_semantics(const CompiledSchedule& cs) {
   // No two ops may share a (micro batch, kind, layer) — keyed (mb, position)
   // where the order holds the op, else (mb, kind, layer) — and the deferred
   // flush is one per micro batch at any layer.
+  const std::vector<Op>& ops = cs.schedule().ops;
   std::vector<std::pair<std::array<int, 4>, OpId>> keys;
   std::vector<int> chain_pos(n, -1);  ///< chain position of each chain op
-  for (std::size_t i = 0; i < n; ++i) {
-    if (outside_order(cs.kind[i])) continue;
-    const int mb = cs.mb[i];
-    const int pos = order.position(cs.kind[i], cs.layer[i], cs.combines_w[i] != 0);
-    keys.push_back({{mb, pos, pos < 0 ? static_cast<int>(cs.kind[i]) : 0,
-                     pos < 0 ? cs.layer[i] : 0},
-                    static_cast<OpId>(i)});
-    if (pos >= 0 && pos < order.chain_length() && mb >= 0 && mb < m) chain_pos[i] = pos;
+  for (const Op& op : ops) {
+    if (outside_order(op.kind)) continue;
+    const int mb = op.mb;
+    const int pos = order.position(op.kind, op.layer, op.combines_w);
+    keys.push_back({{mb, pos, pos < 0 ? static_cast<int>(op.kind) : 0,
+                     pos < 0 ? op.layer : 0},
+                    op.id});
+    if (pos >= 0 && pos < order.chain_length() && mb >= 0 && mb < m) {
+      chain_pos[static_cast<std::size_t>(op.id)] = pos;
+    }
   }
   std::sort(keys.begin(), keys.end());
   for (std::size_t k = 1; k < keys.size(); ++k) {
@@ -203,9 +213,10 @@ ValidationResult validate_semantics(const CompiledSchedule& cs) {
   // missing a -> b, but then the last broken chain edge is caught, since
   // nothing after it can reach back without a cycle.
   std::vector<std::array<int, 4>> edges;  // (mb, before, after, before_pos)
-  for_each_order_edge(order, m, cs.ops, [&edges](int mb, OpId a, OpId b, int a_pos) {
-    edges.push_back({mb, a, b, a_pos});
-  });
+  for_each_order_edge(order, m, ops, std::views::iota(OpId{0}, static_cast<OpId>(n)),
+                      [&edges](int mb, OpId a, OpId b, int a_pos) {
+                        edges.push_back({mb, a, b, a_pos});
+                      });
   std::vector<int> reach(n);
   for (std::size_t lo = 0, hi = 0; lo < edges.size(); lo = hi) {
     const int mb = edges[lo][0];
@@ -213,7 +224,7 @@ ValidationResult validate_semantics(const CompiledSchedule& cs) {
     std::fill(reach.begin(), reach.end(), -1);
     for (const OpId u : cs.topo) {
       const auto ui = static_cast<std::size_t>(u);
-      const int r = cs.mb[ui] == mb ? std::max(reach[ui], chain_pos[ui]) : reach[ui];
+      const int r = ops[ui].mb == mb ? std::max(reach[ui], chain_pos[ui]) : reach[ui];
       if (r < 0) continue;
       for (const OpId* v = cs.succ_begin(u); v != cs.succ_end(u); ++v) {
         int& rv = reach[static_cast<std::size_t>(*v)];
@@ -236,7 +247,7 @@ ValidationResult validate_semantics(const CompiledSchedule& cs) {
   for (int s = 0; s < cs.num_stages; ++s) {
     OpId optim = kNoOp;
     for (const OpId* it = cs.compute_begin(s); it != cs.compute_end(s); ++it) {
-      const OpKind k = cs.kind[static_cast<std::size_t>(*it)];
+      const OpKind k = cs.op(*it).kind;
       if (k == OpKind::kOptimStep && optim == kNoOp) {
         optim = *it;
       } else if (optim != kNoOp && produces_grad(k)) {
@@ -283,8 +294,13 @@ ValidationResult validate_coverage(const Schedule& sched) {
   std::vector<int> optim_per_stage(static_cast<std::size_t>(S), 0);
   bool any_head = false;
 
-  for (const auto& stage : sched.stage_ops) {
-    for (const Op& op : stage) {
+  for (std::size_t s = 0; s < sched.programs.size(); ++s) {
+    for (const OpId id : sched.programs[s]) {
+      if (id < 0 || static_cast<std::size_t>(id) >= sched.ops.size()) {
+        res.fail(program_entry_fault(sched, s, id));
+        return res;
+      }
+      const Op& op = sched.ops[static_cast<std::size_t>(id)];
       if (is_comm(op.kind)) continue;
       if (op.kind == OpKind::kOptimStep) {
         if (op.stage < 0 || op.stage >= S) {
@@ -370,22 +386,29 @@ ValidationResult validate_coverage(const Schedule& sched) {
 
 std::vector<std::pair<OpId, OpId>> semantic_order_edges(const Schedule& sched) {
   const MicroBatchOrder order(sched.num_layers);
-  std::vector<const Op*> ops;  // program order, so the first of a duplicate wins
-  ops.reserve(sched.total_ops());
-  for (const auto& stage : sched.stage_ops) {
-    for (const Op& op : stage) ops.push_back(&op);
+  std::vector<OpId> ids;  // program order, so the first of a duplicate wins
+  ids.reserve(sched.total_ops());
+  for (std::size_t s = 0; s < sched.programs.size(); ++s) {
+    for (const OpId id : sched.programs[s]) {
+      if (id < 0 || static_cast<std::size_t>(id) >= sched.ops.size()) {
+        throw std::invalid_argument(program_entry_fault(sched, s, id));
+      }
+      ids.push_back(id);
+    }
   }
   std::vector<std::pair<OpId, OpId>> edges;
-  for_each_order_edge(order, sched.num_micro_batches, ops,
+  for_each_order_edge(order, sched.num_micro_batches, sched.ops, ids,
                       [&edges](int, OpId a, OpId b, int) { edges.emplace_back(a, b); });
-  for (const auto& stage : sched.stage_ops) {
+  for (const auto& program : sched.programs) {
     OpId optim = kNoOp;
-    for (const Op& op : stage) {
-      if (op.kind == OpKind::kOptimStep) optim = op.id;
+    for (const OpId id : program) {
+      if (sched.ops[static_cast<std::size_t>(id)].kind == OpKind::kOptimStep) optim = id;
     }
     if (optim == kNoOp) continue;
-    for (const Op& op : stage) {
-      if (produces_grad(op.kind)) edges.emplace_back(op.id, optim);
+    for (const OpId id : program) {
+      if (produces_grad(sched.ops[static_cast<std::size_t>(id)].kind)) {
+        edges.emplace_back(id, optim);
+      }
     }
   }
   return edges;

@@ -8,7 +8,7 @@
 
 // Schedule validation over one lowering. CompiledSchedule::build is the
 // structural gate (compiled.h lists what it rejects); the validators compile
-// once and check the compiled arrays, adding only what compile does not:
+// once and check the compiled form, adding only what compile does not:
 // payload sizes, peers and memory balance. The semantic check proves the
 // invariant the paper relies on for convergence (Section 4.1): however ops
 // are interleaved across stages, the graph keeps each micro batch's
@@ -110,8 +110,10 @@ ValidationResult validate_semantics(const CompiledSchedule& cs);
 ///    LmHeadLoss;
 ///  * recompute ops appear at most once per (mb, layer, kind);
 ///  * exactly one OptimStep per stage.
-/// Rejects a negative num_stages, a num_micro_batches or num_layers outside
-/// [0, kMaxShape], and a schedule with too few ops for its shape.
+/// Reads the stage programs, so an op in no program is not counted. Rejects
+/// a negative num_stages, a num_micro_batches or num_layers outside
+/// [0, kMaxShape], a schedule with too few ops for its shape, and a program
+/// entry outside [0, ops.size()).
 ValidationResult validate_coverage(const Schedule& sched);
 
 /// The orderings validate_semantics enforces, as (before, after) op-id
@@ -122,8 +124,9 @@ ValidationResult validate_coverage(const Schedule& sched);
 /// (micro batch, position). Generators encode most of these
 /// through stream order alone, so a transformation that reorders a stage
 /// program (tune::Table swaps, list re-scheduling) must honour them
-/// explicitly. Throws std::invalid_argument when num_layers is outside
-/// [0, kMaxShape].
+/// explicitly. Reads the stage programs. Throws std::invalid_argument when
+/// num_layers is outside [0, kMaxShape] or a program entry outside
+/// [0, ops.size()).
 std::vector<std::pair<OpId, OpId>> semantic_order_edges(const Schedule& sched);
 
 }  // namespace helix::core

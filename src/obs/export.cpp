@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <tuple>
 
+#include "core/compiled.h"
 #include "obs/memory.h"
 
 namespace helix::obs {
@@ -113,10 +114,10 @@ ReconciliationReport reconcile(const core::Schedule& sched,
                                const std::vector<std::int64_t>& model_stage_bytes) {
   ReconciliationReport report;
   report.predicted_makespan_s = predicted.makespan;
-  report.critical = sim::critical_path(sched, predicted);
+  const core::CompiledSchedule cs = core::CompiledSchedule::build(sched);
+  report.critical = sim::critical_path(cs, predicted);
   const MeasuredRun measured = measured_stats(trace);
   report.measured_makespan_s = measured.makespan_s;
-  const std::vector<const core::Op*> ops_by_id = sched.op_index();
 
   for (int s = 0; s < sched.num_stages; ++s) {
     StageReconciliation rec;
@@ -127,8 +128,8 @@ ReconciliationReport reconcile(const core::Schedule& sched,
     // runtimes both honour per-stage program order, so these should agree).
     std::vector<OpIdentity> ir_order;
     std::vector<std::pair<double, OpIdentity>> sim_starts;
-    for (const core::Op& op : sched.stage_ops[static_cast<std::size_t>(s)]) {
-      if (core::is_comm(op.kind)) continue;
+    for (const core::OpId* it = cs.compute_begin(s); it != cs.compute_end(s); ++it) {
+      const core::Op& op = cs.op(*it);
       const OpIdentity id{op.kind, op.mb, op.layer};
       ir_order.push_back(id);
       sim_starts.push_back(
@@ -197,14 +198,14 @@ ReconciliationReport reconcile(const core::Schedule& sched,
     {
       double exposed = 0;
       double prev_compute_end = 0;
-      for (const core::Op& op : sched.stage_ops[static_cast<std::size_t>(s)]) {
-        if (core::is_comm(op.kind)) continue;
+      for (const core::OpId* it = cs.compute_begin(s); it != cs.compute_end(s); ++it) {
+        const core::OpId id = *it;
         double other_ready = prev_compute_end;
         double recv_end = 0;
         bool has_recv = false;
-        for (const core::OpId d : op.deps) {
-          const double end = predicted.op_times[static_cast<std::size_t>(d)].end;
-          if (ops_by_id[static_cast<std::size_t>(d)]->kind == core::OpKind::kRecv) {
+        for (const core::OpId* d = cs.deps_begin(id); d != cs.deps_end(id); ++d) {
+          const double end = predicted.op_times[static_cast<std::size_t>(*d)].end;
+          if (cs.op(*d).kind == core::OpKind::kRecv) {
             has_recv = true;
             recv_end = std::max(recv_end, end);
           } else {
@@ -212,7 +213,7 @@ ReconciliationReport reconcile(const core::Schedule& sched,
           }
         }
         if (has_recv) exposed += std::max(0.0, recv_end - other_ready);
-        prev_compute_end = predicted.op_times[static_cast<std::size_t>(op.id)].end;
+        prev_compute_end = predicted.op_times[static_cast<std::size_t>(id)].end;
       }
       const double total = predicted.stages[static_cast<std::size_t>(s)].recv_wait;
       rec.predicted_exposed_wait_s = exposed;

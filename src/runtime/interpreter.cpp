@@ -66,10 +66,10 @@ Interpreter::Interpreter(const core::CompiledSchedule& schedule, int rank,
                          const nn::Batch& batch, InterpreterOptions options)
     : compiled_(schedule), rank_(rank), comm_(comm), params_(params),
       batch_(batch), opt_(options),
-      recompute_(std::any_of(schedule.kind.begin(), schedule.kind.end(),
-                             [](OpKind k) {
-                               return k == OpKind::kRecomputePre ||
-                                      k == OpKind::kRecomputePost;
+      recompute_(std::any_of(schedule.schedule().ops.begin(), schedule.schedule().ops.end(),
+                             [](const Op& op) {
+                               return op.kind == OpKind::kRecomputePre ||
+                                      op.kind == OpKind::kRecomputePost;
                              })) {}
 
 template <class Map>
@@ -436,7 +436,7 @@ void Interpreter::prepare_async() {
   pending_sends_.clear();
   next_recv_ = 0;
   for (std::size_t i = 0; i < psize; ++i) {
-    const OpKind k = compiled_.kind[static_cast<std::size_t>(prog[i])];
+    const OpKind k = compiled_.op(prog[i]).kind;
     if (k == OpKind::kRecv) recv_queue_.push_back(i);
     if (k == OpKind::kSend) pending_sends_.push_back(i);
   }

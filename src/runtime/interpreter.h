@@ -87,8 +87,7 @@ class Interpreter {
   /// `schedule` is the compiled form (core::CompiledSchedule::build); the
   /// interpreter walks its per-stage program span — shared across ranks,
   /// steps and the simulator — instead of re-deriving per-op lookups. The
-  /// compiled schedule (and the Schedule it borrows) must outlive the
-  /// interpreter.
+  /// compiled schedule must outlive the interpreter.
   Interpreter(const core::CompiledSchedule& schedule, int rank,
               comm::Endpoint& comm, nn::ModelParams& params,
               const nn::Batch& batch, InterpreterOptions options);

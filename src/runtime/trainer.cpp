@@ -186,9 +186,8 @@ std::vector<std::int64_t> predict_stage_peak_bytes(const nn::MiniGptConfig& cfg,
 
 Trainer::Trainer(nn::ModelParams& params, TrainerOptions options)
     : params_(params), opt_(options),
-      sched_(build_numeric_schedule(params.cfg, options)),
-      compiled_(core::CompiledSchedule::build(sched_)),
-      adam_states_(static_cast<std::size_t>(sched_.num_stages)) {
+      compiled_(core::CompiledSchedule::build(build_numeric_schedule(params.cfg, options))),
+      adam_states_(static_cast<std::size_t>(compiled_.num_stages)) {
   // The schedule builders above already reject non-positive layers, micro
   // batches and stages, naming them.
   nn::validate(params.cfg);
@@ -196,10 +195,10 @@ Trainer::Trainer(nn::ModelParams& params, TrainerOptions options)
     throw std::invalid_argument("TrainerOptions::mlp_chunks = " +
                                 std::to_string(opt_.mlp_chunks) + " must be >= 1");
   }
-  if (params.cfg.layers % sched_.num_stages != 0) {
+  if (params.cfg.layers % compiled_.num_stages != 0) {
     throw std::invalid_argument("layers must divide evenly across stages");
   }
-  if (opt_.trace != nullptr && opt_.trace->num_ranks() != sched_.num_stages) {
+  if (opt_.trace != nullptr && opt_.trace->num_ranks() != compiled_.num_stages) {
     throw std::invalid_argument("trace collector must have one shard per stage");
   }
   if (opt_.threads < 0) {
@@ -243,7 +242,7 @@ Trainer::Trainer(nn::ModelParams& params, TrainerOptions options)
 IterationMetrics Trainer::train_step(const nn::Batch& batch) {
   const int step = step_++;
   post_mortem_.reset();
-  comm::World world(sched_.num_stages);
+  comm::World world(compiled_.num_stages);
   obs::TraceCollector* trace = opt_.trace;
   if (trace != nullptr) {
     trace->begin_iteration();  // each train_step is one fresh trace
@@ -257,7 +256,7 @@ IterationMetrics Trainer::train_step(const nn::Batch& batch) {
   if (opt_.health.enabled) {
     if (health_ == nullptr) {
       health_ = std::make_unique<obs::HealthCollector>(
-          sched_.num_stages, opt_.health.recorder_capacity);
+          compiled_.num_stages, opt_.health.recorder_capacity);
     }
     health_->begin_step();
     world.set_health(health_->cells(), health_->recorders());
@@ -265,7 +264,7 @@ IterationMetrics Trainer::train_step(const nn::Batch& batch) {
     monitor->start();
   }
 
-  std::vector<IterationMetrics> metrics(static_cast<std::size_t>(sched_.num_stages));
+  std::vector<IterationMetrics> metrics(static_cast<std::size_t>(compiled_.num_stages));
   const auto rank_fn = [&](comm::Endpoint& ep) {
     const int r = ep.rank();
     if (faults != nullptr && faults->should_kill(r, step)) {
@@ -323,8 +322,8 @@ IterationMetrics Trainer::train_step(const nn::Batch& batch) {
   }
   if (trace != nullptr) {
     // Threads are joined: shards are quiescent, merge them into the result.
-    out.rank_summaries.reserve(static_cast<std::size_t>(sched_.num_stages));
-    for (int r = 0; r < sched_.num_stages; ++r) {
+    out.rank_summaries.reserve(static_cast<std::size_t>(compiled_.num_stages));
+    for (int r = 0; r < compiled_.num_stages; ++r) {
       out.rank_summaries.push_back(trace->summary(r));
     }
   }

@@ -100,7 +100,7 @@ class Trainer {
   /// subsets (their own combos / layers), mirroring distributed ownership.
   Trainer(nn::ModelParams& params, TrainerOptions options);
 
-  const core::Schedule& schedule() const noexcept { return sched_; }
+  const core::Schedule& schedule() const noexcept { return compiled_.schedule(); }
 
   /// Run one training iteration over `batch`; returns per-micro-batch
   /// losses from the LM-head stage.
@@ -129,9 +129,8 @@ class Trainer {
  private:
   nn::ModelParams& params_;
   TrainerOptions opt_;
-  core::Schedule sched_;
-  /// Compiled once from sched_ at construction (declared after it so the
-  /// borrow is safe); shared by every rank's Interpreter across steps.
+  /// The schedule, compiled once at construction; shared by every rank's
+  /// Interpreter across steps.
   core::CompiledSchedule compiled_;
   /// Per-rank Adam state, persistent across iterations (ranks own disjoint
   /// parameter subsets, so states never overlap).

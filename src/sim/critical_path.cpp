@@ -40,7 +40,7 @@ PathSegment segment_of(OpKind kind) noexcept {
 OpId binding_pred(const CompiledSchedule& cs, const SimResult& res, OpId id,
                   double slack) {
   const std::size_t ui = static_cast<std::size_t>(id);
-  const OpKind kind = cs.kind[ui];
+  const OpKind kind = cs.op(id).kind;
   const double start = res.op_times[ui].start;
   const double end = res.op_times[ui].end;
 
@@ -106,9 +106,9 @@ CriticalPathReport critical_path(const CompiledSchedule& cs,
   }
   for (OpId cur = tail; cur != core::kNoOp;) {
     const std::size_t ui = static_cast<std::size_t>(cur);
-    report.chain.push_back({cur, cs.stage[ui], cs.kind[ui],
-                            result.op_times[ui].start, result.op_times[ui].end,
-                            segment_of(cs.kind[ui])});
+    const Op& op = cs.op(cur);
+    report.chain.push_back({cur, op.stage, op.kind, result.op_times[ui].start,
+                            result.op_times[ui].end, segment_of(op.kind)});
     if (report.chain.size() > n) {
       throw std::logic_error("critical_path: chain longer than the op count");
     }
@@ -154,7 +154,7 @@ CriticalPathReport critical_path(const CompiledSchedule& cs,
         double recv_bound = 0;
         for (const OpId* d = cs.deps_begin(id); d != cs.deps_end(id); ++d) {
           const double end = result.op_times[static_cast<std::size_t>(*d)].end;
-          if (cs.kind[static_cast<std::size_t>(*d)] == OpKind::kRecv) {
+          if (cs.op(*d).kind == OpKind::kRecv) {
             recv_bound = std::max(recv_bound, end);
           } else {
             other_bound = std::max(other_bound, end);
@@ -224,7 +224,6 @@ std::string render_critical_path(const CriticalPathReport& report,
   os << render_critical_path(report);
   char line[192];
   if (max_chain_rows > 0) {
-    const std::vector<const Op*> ops = sched.op_index();
     os << "  chain (time order):\n";
     std::size_t shown = 0;
     for (const CriticalPathNode& node : report.chain) {
@@ -237,7 +236,7 @@ std::string render_critical_path(const CriticalPathReport& report,
       std::snprintf(line, sizeof(line),
                     "  [%10.6g, %10.6g) P%-3d %-8s %s\n", node.start, node.end,
                     node.stage, to_string(node.segment),
-                    op_event_name(*ops[static_cast<std::size_t>(node.op)]).c_str());
+                    op_event_name(sched.ops[static_cast<std::size_t>(node.op)]).c_str());
       os << line;
     }
   }

@@ -85,11 +85,12 @@ struct CriticalPathReport {
 /// the op that ends at the makespan choosing, at each step, the predecessor
 /// whose end time bound the op's start (or, for a Recv, the Send whose
 /// completion bound its end), and decomposes every stage's bubble into
-/// causes. Runs entirely off the compiled SoA/CSR arrays.
+/// causes. Runs entirely off the compiled form: its op records and CSR
+/// arrays.
 CriticalPathReport critical_path(const core::CompiledSchedule& cs,
                                  const SimResult& result);
 
-/// Convenience overload: compile `sched` and analyze.
+/// Convenience overload: compile a copy of `sched` and analyze.
 CriticalPathReport critical_path(const core::Schedule& sched,
                                  const SimResult& result);
 

@@ -56,21 +56,22 @@ const SimResult& Simulator::run(
         start = std::max(start, times[static_cast<std::size_t>(*it)].end);
       }
 
-      // Price from the SoA fields: a Send occupies its comm stream for the
+      // Price from the op record: a Send occupies its comm stream for the
       // transfer, a Recv ends at data arrival (zero intrinsic cost), and a
       // compute op costs its (kind, combines_w) price.
-      const OpKind kind = cs.kind[ui];
+      const core::Op& op = cs.op(id);
+      const OpKind kind = op.kind;
       double end;
-      auto& st = res.stages[static_cast<std::size_t>(cs.stage[ui])];
+      auto& st = res.stages[static_cast<std::size_t>(op.stage)];
       if (kind == OpKind::kSend) {
-        end = start + cost_.transfer_seconds(cs.comm_elems[ui]);
+        end = start + cost_.transfer_seconds(op.comm_elems);
         st.comm_busy += end - start;
       } else if (kind == OpKind::kRecv) {
         end = std::max(start,
                        times[static_cast<std::size_t>(cs.matching_send[ui])].end);
         st.recv_wait += end - start;
       } else {
-        end = start + cost_.compute_seconds(kind, cs.combines_w[ui] != 0);
+        end = start + cost_.compute_seconds(kind, op.combines_w);
         st.compute_busy += end - start;
       }
       times[ui] = {start, end};
@@ -104,12 +105,12 @@ const SimResult& Simulator::run(
     HELIX_PROF_COUNT("sim.mem_events.appended", total);
   }
   std::int64_t reallocs = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::int64_t acquire = cs.mem_acquire[i];
-    const std::int64_t release = cs.mem_release[i];
+  for (const core::Op& op : cs.schedule().ops) {
+    const std::int64_t acquire = op.alloc_bytes + op.transient_bytes;
+    const std::int64_t release = op.free_bytes + op.transient_bytes;
     if (acquire == 0 && release == 0) continue;
-    const OpTime& ot = res.op_times[i];
-    auto& ev = ws.events[static_cast<std::size_t>(cs.stage[i])];
+    const OpTime& ot = res.op_times[static_cast<std::size_t>(op.id)];
+    auto& ev = ws.events[static_cast<std::size_t>(op.stage)];
     const std::size_t cap = ev.capacity();
     if (acquire != 0) ev.push_back({ot.start, acquire});
     if (release != 0) ev.push_back({ot.end, -release});
@@ -138,7 +139,7 @@ const SimResult& Simulator::run(
 
 SimResult Simulator::run(const Schedule& sched,
                          const std::vector<std::int64_t>& base_memory) const {
-  const CompiledSchedule cs = CompiledSchedule::build(sched);
+  const CompiledSchedule cs = CompiledSchedule::build(sched);  // a copy
   SimWorkspace ws;
   run(cs, ws, base_memory);
   return std::move(ws.result);

@@ -25,8 +25,8 @@
 // free_bytes and transient_bytes credited at op end; the simulator reports
 // the running peak per stage on top of a caller-provided base (model states).
 //
-// The hot path runs off core::CompiledSchedule (SoA fields, CSR edges, a
-// precomputed topological order) with a caller-owned SimWorkspace whose
+// The hot path runs off core::CompiledSchedule (op records by id, CSR
+// edges, a precomputed topological order) with a caller-owned SimWorkspace whose
 // buffers are recycled across runs: compile once, simulate many — the shape
 // the sweep engine (sim/sweep.h) is built on. The Schedule-taking overload
 // remains as a convenience that compiles on the fly.
@@ -98,7 +98,7 @@ class Simulator {
   const SimResult& run(const core::CompiledSchedule& cs, SimWorkspace& ws,
                        const std::vector<std::int64_t>& base_memory_bytes = {}) const;
 
-  /// Convenience overload: compile `sched` and run it once. Throws
+  /// Convenience overload: compile a copy of `sched` and run it once. Throws
   /// std::logic_error on malformed IR or a dependency cycle (schedule bug).
   SimResult run(const core::Schedule& sched,
                 const std::vector<std::int64_t>& base_memory_bytes = {}) const;

@@ -66,8 +66,8 @@ SweepOutcome evaluate(const SweepItem& item, SimWorkspace& ws) {
     return out;
   }
   try {
-    const core::Schedule sched = fam->build(item.problem, *item.cost);
-    out = simulate(core::CompiledSchedule::build(sched), *item.cost, item.base_memory, ws);
+    out = simulate(core::CompiledSchedule::build(fam->build(item.problem, *item.cost)),
+                   *item.cost, item.base_memory, ws);
   } catch (const std::exception& e) {
     out = SweepOutcome{};
     out.error = e.what();

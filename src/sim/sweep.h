@@ -36,8 +36,8 @@ struct SweepItem {
 };
 
 /// One ad-hoc schedule to evaluate (the autotuner's scoring path): the
-/// schedule is already built and compiled — simulate only. `compiled` (with
-/// the Schedule it borrows) and `cost` must outlive the call.
+/// schedule is already built and compiled — simulate only. `compiled` and
+/// `cost` must outlive the call.
 struct ScheduleItem {
   const core::CompiledSchedule* compiled = nullptr;
   const core::CostModel* cost = nullptr;

@@ -62,8 +62,9 @@ std::string render_ascii_timeline(const core::Schedule& sched,
   for (int s = 0; s < sched.num_stages; ++s) {
     std::string compute(static_cast<std::size_t>(cols), '.');
     std::string comm(static_cast<std::size_t>(cols), '.');
-    for (const Op& op : sched.stage_ops[static_cast<std::size_t>(s)]) {
-      const auto& t = result.op_times[static_cast<std::size_t>(op.id)];
+    for (const core::OpId id : sched.programs[static_cast<std::size_t>(s)]) {
+      const Op& op = sched.ops[static_cast<std::size_t>(id)];
+      const auto& t = result.op_times[static_cast<std::size_t>(id)];
       int c0 = static_cast<int>(std::floor(t.start / opt.time_per_col));
       int c1 = static_cast<int>(std::ceil(t.end / opt.time_per_col));
       c0 = std::clamp(c0, 0, cols);
@@ -128,9 +129,10 @@ std::string chrome_trace_json(const std::vector<ChromeEvent>& events,
 std::string to_chrome_trace(const core::Schedule& sched, const SimResult& result) {
   std::vector<ChromeEvent> events;
   events.reserve(sched.total_ops());
-  for (const auto& stage : sched.stage_ops) {
-    for (const Op& op : stage) {
-      const auto& t = result.op_times[static_cast<std::size_t>(op.id)];
+  for (const auto& program : sched.programs) {
+    for (const core::OpId id : program) {
+      const Op& op = sched.ops[static_cast<std::size_t>(id)];
+      const auto& t = result.op_times[static_cast<std::size_t>(id)];
       events.push_back({op_event_name(op), op.stage,
                         core::is_comm(op.kind) ? kChromeCommTid : kChromeComputeTid,
                         t.start * 1e6, (t.end - t.start) * 1e6});
@@ -145,10 +147,10 @@ std::string dump_op_log(const core::Schedule& sched, const SimResult& result) {
     const Op* op;
   };
   std::vector<Row> rows;
-  for (const auto& stage : sched.stage_ops) {
-    for (const Op& op : stage) {
-      const auto& t = result.op_times[static_cast<std::size_t>(op.id)];
-      rows.push_back({t.start, t.end, &op});
+  for (const auto& program : sched.programs) {
+    for (const core::OpId id : program) {
+      const auto& t = result.op_times[static_cast<std::size_t>(id)];
+      rows.push_back({t.start, t.end, &sched.ops[static_cast<std::size_t>(id)]});
     }
   }
   std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {

@@ -112,10 +112,8 @@ GateResult differential_gate(const core::Schedule& schedule,
   // schedule built with include_lm_head = false has no such op and would
   // die deep in slot routing — reject it up front with an actionable error.
   int lm_head_ops = 0;
-  for (const auto& stage : schedule.stage_ops) {
-    for (const core::Op& op : stage) {
-      if (op.kind == core::OpKind::kLmHeadLoss) ++lm_head_ops;
-    }
+  for (const core::Op& op : schedule.ops) {
+    if (op.kind == core::OpKind::kLmHeadLoss) ++lm_head_ops;
   }
   if (lm_head_ops != schedule.num_micro_batches) {
     res.errors.push_back(

@@ -177,19 +177,9 @@ bool apply_mutation(Genome& g, MutationKind kind, std::mt19937_64& rng,
       // and keep only the order it picks: the table's shared ops stay the
       // IR the runtime would execute.
       core::Schedule s = g.table.lower();
-      std::vector<core::Op*> by_id(s.total_ops(), nullptr);
-      for (auto& stage : s.stage_ops) {
-        for (core::Op& op : stage) by_id[static_cast<std::size_t>(op.id)] = &op;
-      }
-      for (const auto& [a, b] : core::semantic_order_edges(s)) {
-        by_id[static_cast<std::size_t>(b)]->deps.push_back(a);
-      }
-      const core::Schedule relisted = core::reorder_stage_programs(s, cost);
-      std::vector<std::vector<OpId>> rows(relisted.stage_ops.size());
-      for (std::size_t r = 0; r < rows.size(); ++r) {
-        rows[r].reserve(relisted.stage_ops[r].size());
-        for (const core::Op& op : relisted.stage_ops[r]) rows[r].push_back(op.id);
-      }
+      for (const auto& [a, b] : core::semantic_order_edges(s)) s.deps.push_back({b, a});
+      std::vector<std::vector<OpId>> rows =
+          core::reorder_stage_programs(std::move(s), cost).programs;
       applied = g.table.reorder(std::move(rows));
       break;
     }

@@ -61,10 +61,12 @@ double score_outcome(const sim::SweepOutcome& out, std::int64_t cap) {
 /// executable and trains the same math" an invariant of the search, not a
 /// property of the mutation set. Returns the compiled form for scoring, or
 /// nullopt when the gate refuses the schedule.
-std::optional<core::CompiledSchedule> ir_gate(const core::Schedule& sched) {
+std::optional<core::CompiledSchedule> ir_gate(core::Schedule sched) {
   try {
-    core::CompiledSchedule cs = core::CompiledSchedule::build(sched);
-    if (core::validate_semantics(cs).ok && core::validate_coverage(sched).ok) return cs;
+    core::CompiledSchedule cs = core::CompiledSchedule::build(std::move(sched));
+    if (core::validate_semantics(cs).ok && core::validate_coverage(cs.schedule()).ok) {
+      return cs;
+    }
   } catch (const std::logic_error&) {  // compile refused the schedule
   }
   return std::nullopt;
@@ -89,20 +91,14 @@ void score_batch(std::vector<Genome>&& genomes, sim::Sweep& sweep,
                  const std::vector<std::int64_t>& base_memory,
                  std::int64_t memory_cap, TuneReport& report,
                  std::vector<Scored>& out) {
-  // Reserved up front and never grown past it: each compiled form borrows
-  // its lowered schedule by address.
-  std::vector<core::Schedule> lowered;
   std::vector<core::CompiledSchedule> compiled;
   std::vector<Genome> kept;
-  lowered.reserve(genomes.size());
   compiled.reserve(genomes.size());
   kept.reserve(genomes.size());
   for (Genome& g : genomes) {
     HELIX_PROF_SCOPE("tune.gate");
-    lowered.push_back(g.table.lower());
-    std::optional<core::CompiledSchedule> cs = ir_gate(lowered.back());
+    std::optional<core::CompiledSchedule> cs = ir_gate(g.table.lower());
     if (!cs) {
-      lowered.pop_back();
       ++report.candidates_invalid;
       continue;
     }

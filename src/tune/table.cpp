@@ -63,33 +63,19 @@ thread_local Scratch scratch;
 
 }  // namespace
 
-Table Table::lift(const core::Schedule& sched) {
-  const std::size_t total = sched.total_ops();
-  auto lifted = std::make_shared<Lift>();
-  lifted->name = sched.name;
-  lifted->num_micro_batches = sched.num_micro_batches;
-  lifted->num_layers = sched.num_layers;
-  lifted->ops.resize(total);
-  std::vector<std::vector<OpId>> rows(sched.stage_ops.size());
-  std::vector<bool> seen(total, false);
+Table Table::lift(core::Schedule sched) {
+  if (const std::string fault = core::store_fault(sched); !fault.empty()) {
+    throw std::invalid_argument("tune::Table::lift: schedule \"" + sched.name +
+                                "\": " + fault);
+  }
+  const std::size_t total = sched.ops.size();
 
   // Send id per rendezvous tag, to add the send->recv edges below.
   std::map<std::int32_t, OpId> send_by_tag;
-
-  for (std::size_t r = 0; r < sched.stage_ops.size(); ++r) {
-    rows[r].reserve(sched.stage_ops[r].size());
-    for (const Op& op : sched.stage_ops[r]) {
-      if (op.id < 0 || static_cast<std::size_t>(op.id) >= total ||
-          seen[static_cast<std::size_t>(op.id)]) {
-        throw std::invalid_argument(
-            "tune::Table::lift: schedule \"" + sched.name +
-            "\" does not have dense unique op ids (op id " +
-            std::to_string(op.id) + " of " + std::to_string(total) + " ops)");
-      }
-      seen[static_cast<std::size_t>(op.id)] = true;
-      lifted->ops[static_cast<std::size_t>(op.id)] = op;
-      rows[r].push_back(op.id);
-      if (op.kind == OpKind::kSend && op.tag >= 0) send_by_tag[op.tag] = op.id;
+  for (const auto& row : sched.programs) {
+    for (const OpId id : row) {
+      const Op& op = sched.ops[static_cast<std::size_t>(id)];
+      if (op.kind == OpKind::kSend && op.tag >= 0) send_by_tag[op.tag] = id;
     }
   }
 
@@ -99,25 +85,26 @@ Table Table::lift(const core::Schedule& sched) {
   // legality check admits semantics-preserving by construction, not just
   // acyclic.
   Edges edges = core::semantic_order_edges(sched);
-  for (const auto& row : rows) {
+  const core::DepLists deps = core::pack_deps(sched);
+  for (const auto& row : sched.programs) {
     for (const OpId id : row) {
-      const Op& op = lifted->ops[static_cast<std::size_t>(id)];
-      for (const OpId d : op.deps) {
-        if (d < 0 || static_cast<std::size_t>(d) >= total) {
-          throw std::invalid_argument(
-              "tune::Table::lift: op " + std::to_string(id) +
-              " depends on unknown op " + std::to_string(d));
-        }
-        edges.emplace_back(d, id);
+      const auto ui = static_cast<std::size_t>(id);
+      for (std::uint32_t e = deps.offset[ui]; e < deps.offset[ui + 1]; ++e) {
+        edges.emplace_back(deps.edges[e], id);
       }
+      const Op& op = sched.ops[ui];
       if (op.kind == OpKind::kRecv && op.tag >= 0) {
         const auto it = send_by_tag.find(op.tag);
         if (it != send_by_tag.end()) edges.emplace_back(it->second, id);
       }
     }
   }
+  auto lifted = std::make_shared<Lift>();
   pack_csr(total, edges, /*forward=*/true, lifted->succ_begin, lifted->succ);
   pack_csr(total, edges, /*forward=*/false, lifted->pred_begin, lifted->pred);
+  std::vector<std::vector<OpId>> rows = std::move(sched.programs);
+  sched.programs.clear();
+  lifted->sched = std::move(sched);
 
   Table t;
   t.lift_ = std::move(lifted);
@@ -129,7 +116,7 @@ void Table::set_order(std::vector<std::vector<OpId>> rows) {
   // Kahn's algorithm over the static edges plus row order gives the
   // topological index; an op it never reaches sits on a cycle.
   const Lift& g = *lift_;
-  const std::size_t total = g.ops.size();
+  const std::size_t total = g.sched.ops.size();
   std::vector<CellRef> pos(total);
   std::vector<std::uint32_t> indeg(total);
   std::vector<OpId> ready;
@@ -163,7 +150,7 @@ void Table::set_order(std::vector<std::vector<OpId>> rows) {
     OpId stuck = 0;
     while (ord[static_cast<std::size_t>(stuck)] >= 0) ++stuck;
     throw std::invalid_argument(
-        "tune::Table: schedule \"" + g.name +
+        "tune::Table: schedule \"" + g.sched.name +
         "\" has a row order that is cyclic under its deps, send->recv and "
         "semantic order edges (op " + std::to_string(stuck) + " is never ready)");
   }
@@ -184,25 +171,22 @@ bool Table::reorder(std::vector<std::vector<OpId>> rows) {
   }
   if (!permutes) {
     throw std::invalid_argument("tune::Table::reorder: the new rows of schedule \"" +
-                                lift_->name + "\" do not permute each row's ops");
+                                lift_->sched.name + "\" do not permute each row's ops");
   }
   set_order(std::move(rows));
   return true;
 }
 
 core::Schedule Table::lower() const {
+  const core::Schedule& lifted = lift_->sched;
   core::Schedule out;
-  out.name = lift_->name;
+  out.name = lifted.name;
   out.num_stages = ranks();
-  out.num_micro_batches = lift_->num_micro_batches;
-  out.num_layers = lift_->num_layers;
-  out.stage_ops.resize(rows_.size());
-  for (std::size_t r = 0; r < rows_.size(); ++r) {
-    out.stage_ops[r].reserve(rows_[r].size());
-    for (const OpId id : rows_[r]) {
-      out.stage_ops[r].push_back(lift_->ops[static_cast<std::size_t>(id)]);
-    }
-  }
+  out.num_micro_batches = lifted.num_micro_batches;
+  out.num_layers = lifted.num_layers;
+  out.ops = lifted.ops;
+  out.deps = lifted.deps;
+  out.programs = rows_;
   return out;
 }
 
@@ -339,7 +323,7 @@ std::uint64_t Table::fingerprint() const {
   for (const auto& row : rows_) {
     mix(row.size());
     for (const OpId id : row) {
-      const Op& op = lift_->ops[static_cast<std::size_t>(id)];
+      const Op& op = lift_->sched.ops[static_cast<std::size_t>(id)];
       mix(std::uint64_t{static_cast<std::uint32_t>(op.id)} << 32 |
           static_cast<std::uint32_t>(op.tag));
       mix(std::uint64_t{static_cast<std::uint16_t>(op.mb)} << 48 |

@@ -11,9 +11,9 @@
 // Tabular schedule representation (DESIGN §15).
 //
 // A tune::Table is the schedule-as-data view of a core::Schedule: a
-// rank × slot grid where row r lists stage r's program as op ids. The ops
-// themselves live once, in an immutable lift that every copy of the table
-// shares; a table is an order over that lift. The two views round-trip
+// rank × slot grid where row r lists stage r's program as op ids. The op
+// records and the dependency arena live once, in an immutable lift that
+// every copy of the table shares; a table is an order over that lift. The two views round-trip
 // losslessly — lower(lift(s)) is op-for-op identical to s, every field and
 // dependency preserved — so anything the simulator, validators or runtime
 // accept as a Schedule is reachable from a Table and vice versa.
@@ -52,14 +52,17 @@ class Table {
   /// Empty table (0 ranks); assign from lift() before use.
   Table() = default;
 
-  /// Build the tabular view of `sched`. Requires dense op ids (what every
-  /// ScheduleBuilder-produced schedule has) and a row order that is acyclic
+  /// Build the tabular view of `sched`, taking it over. Requires a
+  /// well-formed store (core::store_fault finds nothing: what every
+  /// ScheduleBuilder-produced schedule is) and a row order that is acyclic
   /// under the constraint graph; throws std::invalid_argument naming the
   /// schedule otherwise.
-  static Table lift(const core::Schedule& sched);
+  static Table lift(core::Schedule sched);
 
-  /// Reconstruct the Schedule. Exact inverse of lift on an unmutated table;
-  /// after mutations, the same ops with the mutated per-row order.
+  /// Reconstruct the Schedule: a copy of the lift's ops and dependency
+  /// arena with this table's rows as the stage programs. Exact inverse of
+  /// lift on an unmutated table; after mutations, the same ops with the
+  /// mutated per-row order.
   core::Schedule lower() const;
 
   int ranks() const noexcept { return static_cast<int>(rows_.size()); }
@@ -69,7 +72,7 @@ class Table {
   /// The op at (rank, slot): the lift's own record, shared by every copy of
   /// this table.
   const core::Op& op(int rank, int slot) const {
-    return lift_->ops[static_cast<std::size_t>(
+    return lift_->sched.ops[static_cast<std::size_t>(
         rows_[static_cast<std::size_t>(rank)][static_cast<std::size_t>(slot)])];
   }
   std::size_t total_cells() const noexcept { return pos_.size(); }
@@ -109,14 +112,13 @@ class Table {
 
  private:
   /// What lift derives from a schedule and order edits never change: the
-  /// ops by id, and the static constraint graph in CSR form — op a's
-  /// successors are succ[succ_begin[a] .. succ_begin[a + 1]), and likewise
-  /// for predecessors. Stream edges are implicit in each table's row order.
+  /// schedule's store with its programs moved out into the table's rows
+  /// (so `sched.programs` is empty), and the static constraint graph in CSR
+  /// form — op a's successors are succ[succ_begin[a] .. succ_begin[a + 1]),
+  /// and likewise for predecessors. Stream edges are implicit in each
+  /// table's row order.
   struct Lift {
-    std::string name;
-    int num_micro_batches = 0;
-    int num_layers = 0;
-    std::vector<core::Op> ops;                          ///< by op id
+    core::Schedule sched;
     std::vector<std::uint32_t> succ_begin, pred_begin;  ///< n + 1 offsets
     std::vector<core::OpId> succ, pred;
   };

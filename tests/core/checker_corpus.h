@@ -10,7 +10,11 @@
 // rejects them and the adjacency-list checker it replaced accepted them:
 // an op whose `stage` field names another stage than the program holding
 // it, and a comm tag outside [0, num_ops). Every other corruption must get
-// the same verdicts from both checkers.
+// the same verdicts from both checkers. Each corruption draws the same
+// random numbers it drew when a schedule was per-stage vectors of op
+// records, each owning its deps, and gets the same verdicts: an erased op
+// (case 13) stays in `ops` but leaves every program, which compile refuses
+// as it refused the id hole, unless it had the last id and so left no hole.
 
 #include <cstdint>
 #include <random>
@@ -75,42 +79,51 @@ inline void corrupt(core::Schedule& s, std::mt19937_64& rng) {
   // A uniformly random op: (program, index).
   std::int64_t k = below(n);
   std::size_t st = 0;
-  while (k >= static_cast<std::int64_t>(s.stage_ops[st].size())) {
-    k -= static_cast<std::int64_t>(s.stage_ops[st].size());
+  while (k >= static_cast<std::int64_t>(s.programs[st].size())) {
+    k -= static_cast<std::int64_t>(s.programs[st].size());
     ++st;
   }
-  auto& prog = s.stage_ops[st];
+  auto& prog = s.programs[st];
   const auto at = static_cast<std::size_t>(k);
-  core::Op& op = prog[at];
+  const core::OpId id = prog[at];
+  core::Op& op = s.ops[static_cast<std::size_t>(id)];
+  // The op's dependencies, as positions in the arena, in order.
+  const auto deps_of = [&s](core::OpId of) {
+    std::vector<std::size_t> at_arena;
+    for (std::size_t e = 0; e < s.deps.size(); ++e) {
+      if (s.deps[e].op == of) at_arena.push_back(e);
+    }
+    return at_arena;
+  };
   switch (below(16)) {
-    case 0:  // drop a dependency
-      if (!op.deps.empty()) {
-        op.deps.erase(op.deps.begin() + below(static_cast<std::int64_t>(op.deps.size())));
+    case 0: {  // drop a dependency
+      const std::vector<std::size_t> mine = deps_of(id);
+      if (!mine.empty()) {
+        const std::size_t e = mine[static_cast<std::size_t>(
+            below(static_cast<std::int64_t>(mine.size())))];
+        s.deps.erase(s.deps.begin() + static_cast<std::ptrdiff_t>(e));
       }
       break;
+    }
     case 1:  // add a dependency on any op
-      op.deps.push_back(static_cast<core::OpId>(below(n)));
+      s.deps.push_back({id, static_cast<core::OpId>(below(n))});
       break;
     case 2:  // swap with the next op of the program
       if (at + 1 < prog.size()) std::swap(prog[at], prog[at + 1]);
       break;
     case 3: {  // move within the program
-      core::Op moved = std::move(op);
       prog.erase(prog.begin() + static_cast<std::ptrdiff_t>(at));
-      prog.insert(prog.begin() + below(static_cast<std::int64_t>(prog.size()) + 1),
-                  std::move(moved));
+      prog.insert(prog.begin() + below(static_cast<std::int64_t>(prog.size()) + 1), id);
       break;
     }
     case 4: {  // move to another stage's program (its stage field follows)
-      if (s.stage_ops.size() < 2) break;
-      auto to = static_cast<std::size_t>(below(static_cast<std::int64_t>(s.stage_ops.size()) - 1));
+      if (s.programs.size() < 2) break;
+      auto to = static_cast<std::size_t>(below(static_cast<std::int64_t>(s.programs.size()) - 1));
       if (to >= st) ++to;
-      core::Op moved = std::move(op);
       prog.erase(prog.begin() + static_cast<std::ptrdiff_t>(at));
-      moved.stage = static_cast<std::int16_t>(to);
-      auto& dst = s.stage_ops[to];
-      dst.insert(dst.begin() + below(static_cast<std::int64_t>(dst.size()) + 1),
-                 std::move(moved));
+      op.stage = static_cast<std::int16_t>(to);
+      auto& dst = s.programs[to];
+      dst.insert(dst.begin() + below(static_cast<std::int64_t>(dst.size()) + 1), id);
       break;
     }
     case 5:  // retag (inside [0, n))
@@ -144,26 +157,42 @@ inline void corrupt(core::Schedule& s, std::mt19937_64& rng) {
       break;
     case 13:  // erase, leaving a hole in the ids
       prog.erase(prog.begin() + static_cast<std::ptrdiff_t>(at));
+      // A store has no holes: the record stays, in no program. The last
+      // record leaves no hole, so it goes with its own dependencies, as it
+      // did from a per-stage vector.
+      if (static_cast<std::size_t>(id) + 1 == s.ops.size()) {
+        s.ops.pop_back();
+        std::erase_if(s.deps, [id](const core::Dep& d) { return d.op == id; });
+      }
       break;
     case 14: {  // erase and renumber, so ids stay dense
-      const core::OpId gone = op.id;
+      const core::OpId gone = id;
       prog.erase(prog.begin() + static_cast<std::ptrdiff_t>(at));
-      for (auto& stage : s.stage_ops) {
-        for (core::Op& o : stage) {
-          if (o.id > gone) --o.id;
-          std::vector<core::OpId> deps;
-          for (const core::OpId d : o.deps) {
-            if (d != gone) deps.push_back(d > gone ? d - 1 : d);
-          }
-          o.deps = std::move(deps);
-        }
+      s.ops.erase(s.ops.begin() + gone);
+      const auto renumber = [gone](core::OpId& x) {
+        if (x > gone) --x;
+      };
+      for (core::Op& o : s.ops) renumber(o.id);
+      for (auto& program : s.programs) {
+        for (core::OpId& x : program) renumber(x);
       }
+      std::vector<core::Dep> deps;
+      for (core::Dep d : s.deps) {
+        if (d.op == gone || d.dep == gone) continue;
+        renumber(d.op);
+        renumber(d.dep);
+        deps.push_back(d);
+      }
+      s.deps = std::move(deps);
       break;
     }
     default: {  // duplicate right after the original, under a fresh id
-      core::Op copy = op;
-      copy.id = static_cast<core::OpId>(n);
-      prog.insert(prog.begin() + static_cast<std::ptrdiff_t>(at) + 1, std::move(copy));
+      const auto copy = static_cast<core::OpId>(n);
+      core::Op dup = op;
+      dup.id = copy;
+      for (const std::size_t e : deps_of(id)) s.deps.push_back({copy, s.deps[e].dep});
+      s.ops.push_back(dup);
+      prog.insert(prog.begin() + static_cast<std::ptrdiff_t>(at) + 1, copy);
       break;
     }
   }

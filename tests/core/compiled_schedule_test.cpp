@@ -1,6 +1,6 @@
-// CompiledSchedule lowering: the SoA arrays, CSR edge lists, tag tables,
-// stream chains and topological order must be a faithful flattening of the
-// Schedule IR — for every registered family — and malformed IR must be
+// CompiledSchedule lowering: the owned store, CSR edge lists, tag tables,
+// stream chains and topological order must be a faithful compilation of the
+// Schedule — for every registered family — and malformed IR must be
 // rejected at compile time, not at first use.
 #include <gtest/gtest.h>
 
@@ -18,6 +18,7 @@
 #include "core/validator.h"
 #include "schedules/registry.h"
 #include "sim/simulator.h"
+#include "tune/table.h"
 
 using namespace helix;
 using core::CompiledSchedule;
@@ -59,27 +60,31 @@ TEST(CompiledSchedule, SoaFieldsMirrorSourceOpsAcrossFamilies) {
     const Schedule sched = fam.build(pr, cost);
     const CompiledSchedule cs = CompiledSchedule::build(sched);
     ASSERT_EQ(cs.num_ops(), sched.total_ops());
-    EXPECT_EQ(cs.source, &sched);
     EXPECT_EQ(cs.num_stages, sched.num_stages);
     EXPECT_EQ(cs.num_micro_batches, sched.num_micro_batches);
     EXPECT_EQ(cs.num_layers, sched.num_layers);
-    for (const auto& ops : sched.stage_ops) {
-      for (const Op& op : ops) {
-        const auto i = static_cast<std::size_t>(op.id);
-        EXPECT_EQ(cs.kind[i], op.kind);
-        EXPECT_EQ(cs.stage[i], op.stage);
-        EXPECT_EQ(cs.mb[i], op.mb);
-        EXPECT_EQ(cs.layer[i], op.layer);
-        EXPECT_EQ(cs.tag[i], op.tag);
-        EXPECT_EQ(cs.comm_elems[i], op.comm_elems);
-        EXPECT_EQ(cs.combines_w[i] != 0, op.combines_w);
-        EXPECT_EQ(cs.mem_acquire[i], op.alloc_bytes + op.transient_bytes);
-        EXPECT_EQ(cs.mem_release[i], op.free_bytes + op.transient_bytes);
-        EXPECT_EQ(&cs.op(op.id), &op);  // locator points into the source
-        // CSR deps round-trip exactly.
-        const std::vector<OpId> deps(cs.deps_begin(op.id), cs.deps_end(op.id));
-        EXPECT_EQ(deps, op.deps);
-      }
+    EXPECT_EQ(cs.schedule().programs, sched.programs);
+    // Each op's deps, in the order they were added to the arena.
+    std::vector<std::vector<OpId>> deps(sched.ops.size());
+    for (const core::Dep& d : sched.deps) deps[static_cast<std::size_t>(d.op)].push_back(d.dep);
+    for (const Op& op : sched.ops) {
+      const Op& got = cs.op(op.id);
+      EXPECT_EQ(&got, &cs.schedule().ops[static_cast<std::size_t>(op.id)]);
+      EXPECT_EQ(got.id, op.id);
+      EXPECT_EQ(got.kind, op.kind);
+      EXPECT_EQ(got.stage, op.stage);
+      EXPECT_EQ(got.mb, op.mb);
+      EXPECT_EQ(got.layer, op.layer);
+      EXPECT_EQ(got.peer, op.peer);
+      EXPECT_EQ(got.tag, op.tag);
+      EXPECT_EQ(got.slot, op.slot);
+      EXPECT_EQ(got.comm_elems, op.comm_elems);
+      EXPECT_EQ(got.alloc_bytes, op.alloc_bytes);
+      EXPECT_EQ(got.free_bytes, op.free_bytes);
+      EXPECT_EQ(got.transient_bytes, op.transient_bytes);
+      EXPECT_EQ(got.combines_w, op.combines_w);
+      const std::vector<OpId> csr(cs.deps_begin(op.id), cs.deps_end(op.id));
+      EXPECT_EQ(csr, deps[static_cast<std::size_t>(op.id)]);
     }
   }
 }
@@ -227,16 +232,17 @@ TEST(CompiledSchedule, TagTablesAndRendezvousAreDense) {
   std::size_t comm_ops = 0;
   for (std::size_t i = 0; i < cs.num_ops(); ++i) {
     const OpId id = static_cast<OpId>(i);
-    if (cs.kind[i] == OpKind::kSend) {
+    const Op& op = cs.op(id);
+    if (op.kind == OpKind::kSend) {
       ++comm_ops;
-      EXPECT_EQ(cs.send_of_tag[static_cast<std::size_t>(cs.tag[i])], id);
-    } else if (cs.kind[i] == OpKind::kRecv) {
+      EXPECT_EQ(cs.send_of_tag[static_cast<std::size_t>(op.tag)], id);
+    } else if (op.kind == OpKind::kRecv) {
       ++comm_ops;
-      EXPECT_EQ(cs.recv_of_tag[static_cast<std::size_t>(cs.tag[i])], id);
+      EXPECT_EQ(cs.recv_of_tag[static_cast<std::size_t>(op.tag)], id);
       const OpId s = cs.matching_send[i];
       ASSERT_NE(s, core::kNoOp);
-      EXPECT_EQ(cs.kind[static_cast<std::size_t>(s)], OpKind::kSend);
-      EXPECT_EQ(cs.tag[static_cast<std::size_t>(s)], cs.tag[i]);
+      EXPECT_EQ(cs.op(s).kind, OpKind::kSend);
+      EXPECT_EQ(cs.op(s).tag, op.tag);
     } else {
       EXPECT_EQ(cs.matching_send[i], core::kNoOp);
     }
@@ -253,22 +259,22 @@ TEST(CompiledSchedule, StreamChainsFollowProgramOrder) {
   const Schedule sched = fam->build(pr, cost);
   const CompiledSchedule cs = CompiledSchedule::build(sched);
   for (int s = 0; s < sched.num_stages; ++s) {
-    const auto& ops = sched.stage_ops[static_cast<std::size_t>(s)];
-    ASSERT_EQ(cs.program_size(s), ops.size());
+    const auto& ids = sched.programs[static_cast<std::size_t>(s)];
+    ASSERT_EQ(cs.program_size(s), ids.size());
     OpId prev_compute = core::kNoOp;
     OpId prev_comm = core::kNoOp;
     std::vector<OpId> expect_compute;
     const OpId* prog = cs.program_begin(s);
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-      EXPECT_EQ(prog[i], ops[i].id);  // program span is the stage's op list
-      const auto ui = static_cast<std::size_t>(ops[i].id);
-      if (core::is_comm(ops[i].kind)) {
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      EXPECT_EQ(prog[i], ids[i]);  // program span is the stage's row
+      const auto ui = static_cast<std::size_t>(ids[i]);
+      if (core::is_comm(sched.ops[ui].kind)) {
         EXPECT_EQ(cs.stream_pred[ui], prev_comm);
-        prev_comm = ops[i].id;
+        prev_comm = ids[i];
       } else {
         EXPECT_EQ(cs.stream_pred[ui], prev_compute);
-        prev_compute = ops[i].id;
-        expect_compute.push_back(ops[i].id);
+        prev_compute = ids[i];
+        expect_compute.push_back(ids[i]);
       }
     }
     const std::vector<OpId> chain(cs.compute_begin(s), cs.compute_end(s));
@@ -320,7 +326,8 @@ TEST(CompiledSchedule, MemCountIsExactPerStage) {
   ASSERT_EQ(cs.mem_count.size(), static_cast<std::size_t>(sched.num_stages));
   for (int s = 0; s < sched.num_stages; ++s) {
     std::uint32_t expect = 0;
-    for (const Op& op : sched.stage_ops[static_cast<std::size_t>(s)]) {
+    for (const OpId id : sched.programs[static_cast<std::size_t>(s)]) {
+      const Op& op = sched.ops[static_cast<std::size_t>(id)];
       if (op.alloc_bytes + op.transient_bytes != 0) ++expect;
       if (op.free_bytes + op.transient_bytes != 0) ++expect;
     }
@@ -339,7 +346,7 @@ Schedule two_stage_skeleton() {
   s.num_stages = 2;
   s.num_micro_batches = 1;
   s.num_layers = 2;
-  s.stage_ops.resize(2);
+  s.programs.resize(2);
   return s;
 }
 
@@ -351,20 +358,25 @@ Op make_op(OpId id, OpKind kind, int stage) {
   return op;
 }
 
+/// Store `op` as the next record and append its id to `program`.
+void put(Schedule& s, const Op& op, int program) {
+  s.ops.push_back(op);
+  s.programs[static_cast<std::size_t>(program)].push_back(op.id);
+}
+
 }  // namespace
 
 TEST(CompiledScheduleMalformed, NonDenseIdsThrow) {
   Schedule s = two_stage_skeleton();
-  s.stage_ops[0].push_back(make_op(0, OpKind::kFwdPre, 0));
-  s.stage_ops[0].push_back(make_op(2, OpKind::kBwdPre, 0));  // gap: no id 1
+  put(s, make_op(0, OpKind::kFwdPre, 0), 0);
+  put(s, make_op(2, OpKind::kBwdPre, 0), 0);  // gap: no id 1
   EXPECT_THROW(CompiledSchedule::build(s), std::logic_error);
 }
 
 TEST(CompiledScheduleMalformed, UnknownDepThrows) {
   Schedule s = two_stage_skeleton();
-  Op op = make_op(0, OpKind::kFwdPre, 0);
-  op.deps.push_back(7);  // no such op
-  s.stage_ops[0].push_back(op);
+  put(s, make_op(0, OpKind::kFwdPre, 0), 0);
+  s.deps.push_back({0, 7});  // no such op
   EXPECT_THROW(CompiledSchedule::build(s), std::logic_error);
 }
 
@@ -376,9 +388,9 @@ TEST(CompiledScheduleMalformed, DuplicateSendTagThrows) {
   send1.tag = 0;  // duplicate
   Op recv = make_op(2, OpKind::kRecv, 1);
   recv.tag = 0;
-  s.stage_ops[0].push_back(send0);
-  s.stage_ops[0].push_back(send1);
-  s.stage_ops[1].push_back(recv);
+  put(s, send0, 0);
+  put(s, send1, 0);
+  put(s, recv, 1);
   EXPECT_THROW(CompiledSchedule::build(s), std::logic_error);
 }
 
@@ -386,18 +398,16 @@ TEST(CompiledScheduleMalformed, RecvWithoutSendThrows) {
   Schedule s = two_stage_skeleton();
   Op recv = make_op(0, OpKind::kRecv, 1);
   recv.tag = 3;
-  s.stage_ops[1].push_back(recv);
+  put(s, recv, 1);
   EXPECT_THROW(CompiledSchedule::build(s), std::logic_error);
 }
 
 TEST(CompiledScheduleMalformed, DependencyCycleThrows) {
   Schedule s = two_stage_skeleton();
-  Op a = make_op(0, OpKind::kFwdPre, 0);
-  Op b = make_op(1, OpKind::kFwdPost, 0);
-  a.deps.push_back(1);
-  b.deps.push_back(0);
-  s.stage_ops[0].push_back(a);
-  s.stage_ops[0].push_back(b);
+  put(s, make_op(0, OpKind::kFwdPre, 0), 0);
+  put(s, make_op(1, OpKind::kFwdPost, 0), 0);
+  s.deps.push_back({0, 1});
+  s.deps.push_back({1, 0});
   EXPECT_THROW(CompiledSchedule::build(s), std::logic_error);
 }
 
@@ -440,8 +450,8 @@ Schedule transfer_pair(std::int32_t tag) {
   send.peer = 1;
   recv.peer = 0;
   send.comm_elems = recv.comm_elems = 4;
-  s.stage_ops[0].push_back(send);
-  s.stage_ops[1].push_back(recv);
+  put(s, send, 0);
+  put(s, recv, 1);
   return s;
 }
 
@@ -461,8 +471,7 @@ TEST(CompiledScheduleMalformed, StageCountMismatchThrows) {
 
 TEST(CompiledScheduleMalformed, OpOutsideItsStageProgramThrows) {
   Schedule s = two_stage_skeleton();
-  Op op = make_op(0, OpKind::kFwdPre, 7);  // held by stage 0's program
-  s.stage_ops[0].push_back(op);
+  put(s, make_op(0, OpKind::kFwdPre, 7), 0);  // held by stage 0's program
   expect_rejected(s, "stage=7, mb=-1, layer=-1) sits in stage 0's program");
 }
 
@@ -475,18 +484,18 @@ TEST(CompiledScheduleMalformed, TagOutsideOpRangeThrows) {
 
 TEST(CompiledScheduleMalformed, DuplicateRecvTagThrows) {
   Schedule s = transfer_pair(0);
-  Op second = s.stage_ops[1][0];
+  Op second = s.ops[1];
   second.id = 2;
-  s.stage_ops[1].push_back(second);
+  put(s, second, 1);
   expect_rejected(s, "share tag 0");
 }
 
 TEST(CompiledScheduleMalformed, SendWithoutRecvThrows) {
   Schedule s = transfer_pair(0);
-  Op lone = s.stage_ops[0][0];
+  Op lone = s.ops[0];
   lone.id = 2;
   lone.tag = 1;
-  s.stage_ops[0].push_back(lone);
+  put(s, lone, 0);
   expect_rejected(s, "Send(id=2, stage=0, mb=-1, layer=-1): no Recv carries tag 1");
 }
 
@@ -501,3 +510,66 @@ TEST(CompiledScheduleMalformed, ShapeOutsideTheOpFieldsRangeThrows) {
   expect_rejected(s, "num_layers 32769");
 }
 
+
+// The flat store can hold faults the per-stage vectors of op records could
+// not: a record stored at another index than its id, an op in no program or
+// in two, a program entry outside the store, a dependency naming an unknown
+// op. Each is refused by compile, the simulator and the validators, naming
+// the op or stage, and by Table::lift naming the schedule.
+namespace {
+
+void expect_store_rejected(const Schedule& s, const std::string& names) {
+  expect_rejected(s, names);
+  (void)core::validate_coverage(s);  // reads the programs raw: must not crash
+  try {
+    (void)tune::Table::lift(s);
+    ADD_FAILURE() << "lift accepted the schedule";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("\"" + s.name + "\""), std::string::npos) << what;
+    EXPECT_NE(what.find(names), std::string::npos) << what;
+  }
+}
+
+}  // namespace
+
+TEST(CompiledScheduleMalformed, OpInNoStageProgramThrows) {
+  Schedule s = transfer_pair(0);
+  s.ops.push_back(make_op(2, OpKind::kFwdPre, 0));  // stored, never listed
+  expect_store_rejected(s, "FwdPre(id=2, stage=0, mb=-1, layer=-1) sits in no stage program");
+}
+
+TEST(CompiledScheduleMalformed, OpInTwoStageProgramsThrows) {
+  Schedule s = transfer_pair(0);
+  s.programs[1].push_back(0);
+  expect_store_rejected(
+      s, "Send(id=0, stage=0, mb=-1, layer=-1) sits in stage 0's program and again in stage 1's");
+  s = transfer_pair(0);
+  s.programs[0].push_back(0);
+  expect_store_rejected(s, "Send(id=0, stage=0, mb=-1, layer=-1) sits in stage 0's program "
+                           "and again in stage 0's");
+}
+
+TEST(CompiledScheduleMalformed, ProgramEntryOutsideOpRangeThrows) {
+  Schedule s = transfer_pair(0);
+  s.programs[1].push_back(5);
+  expect_store_rejected(s, "stage 1's program holds op id 5 outside [0, 2)");
+  s = transfer_pair(0);
+  s.programs[0].insert(s.programs[0].begin(), -1);
+  expect_store_rejected(s, "stage 0's program holds op id -1 outside [0, 2)");
+}
+
+TEST(CompiledScheduleMalformed, OpStoredAtAnotherIndexThrows) {
+  Schedule s = transfer_pair(0);
+  s.ops[1].id = 0;
+  expect_store_rejected(s, "Recv(id=0, stage=1, mb=-1, layer=-1) is stored at index 1");
+}
+
+TEST(CompiledScheduleMalformed, DependencyNamingAnUnknownOpThrows) {
+  Schedule s = transfer_pair(0);
+  s.deps.push_back({1, 9});
+  expect_store_rejected(s, "Recv(id=1, stage=1, mb=-1, layer=-1) depends on unknown op id 9");
+  s = transfer_pair(0);
+  s.deps.push_back({-4, 0});
+  expect_store_rejected(s, "a dependency on op id 0 names unknown op id -4");
+}

@@ -44,9 +44,8 @@ TEST_P(Reorder, PreservesStructureAndSemantics) {
 
   // Per-stage op multisets unchanged (only order differs).
   for (int s = 0; s < orig.num_stages; ++s) {
-    std::vector<OpId> a, b;
-    for (const Op& op : orig.stage_ops[static_cast<std::size_t>(s)]) a.push_back(op.id);
-    for (const Op& op : re.stage_ops[static_cast<std::size_t>(s)]) b.push_back(op.id);
+    std::vector<OpId> a = orig.programs[static_cast<std::size_t>(s)];
+    std::vector<OpId> b = re.programs[static_cast<std::size_t>(s)];
     std::sort(a.begin(), a.end());
     std::sort(b.begin(), b.end());
     EXPECT_EQ(a, b) << "stage " << s;

@@ -69,7 +69,8 @@ void check(const core::Schedule& sched, const core::CostModel& cost,
   // Work conservation: per-stage busy equals the op-cost sum exactly.
   for (int s = 0; s < sched.num_stages; ++s) {
     double expected = 0;
-    for (const auto& op : sched.stage_ops[static_cast<std::size_t>(s)]) {
+    for (const core::OpId id : sched.programs[static_cast<std::size_t>(s)]) {
+      const core::Op& op = sched.ops[static_cast<std::size_t>(id)];
       if (core::is_compute(op.kind)) expected += cost.compute_seconds(op);
     }
     EXPECT_NEAR(res.stages[static_cast<std::size_t>(s)].compute_busy, expected,

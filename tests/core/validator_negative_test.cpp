@@ -3,6 +3,7 @@
 // proves nothing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
 #include "core/cost.h"
@@ -37,10 +38,27 @@ void expect_names(const ValidationResult& r, const std::string& what) {
   EXPECT_NE(r.errors.front().find(what), std::string::npos) << r.errors.front();
 }
 
+/// The first op of `kind` in program order, stage by stage.
 Op* find_op(Schedule& s, OpKind kind) {
-  for (auto& stage : s.stage_ops) {
-    for (auto& op : stage) {
+  for (const auto& program : s.programs) {
+    for (const OpId id : program) {
+      Op& op = s.ops[static_cast<std::size_t>(id)];
       if (op.kind == kind) return &op;
+    }
+  }
+  return nullptr;
+}
+
+/// Erase the first op of `kind` from its program; returns its record, or
+/// nullptr when there is none.
+const Op* erase_from_program(Schedule& s, OpKind kind) {
+  for (auto& program : s.programs) {
+    for (std::size_t i = 0; i < program.size(); ++i) {
+      const Op& op = s.ops[static_cast<std::size_t>(program[i])];
+      if (op.kind == kind) {
+        program.erase(program.begin() + static_cast<std::ptrdiff_t>(i));
+        return &op;
+      }
     }
   }
   return nullptr;
@@ -97,9 +115,9 @@ TEST(ValidatorNegative, DetectsDependencyCycle) {
   auto s = valid();
   // Make an early op depend on a much later one on the same stage: combined
   // with the stream edge this creates a cycle.
-  auto& ops = s.stage_ops[0];
-  ASSERT_GT(ops.size(), 4u);
-  ops[1].deps.push_back(ops[ops.size() - 2].id);
+  const auto& program = s.programs[0];
+  ASSERT_GT(program.size(), 4u);
+  s.deps.push_back({program[1], program[program.size() - 2]});
   expect_names(validate_structure(s), "dependency cycle");
   const core::UnitCostModel cost;
   EXPECT_THROW(sim::Simulator(cost).run(s), std::logic_error);
@@ -110,10 +128,12 @@ TEST(ValidatorNegative, DetectsMissingSemanticOrder) {
   // Drop the dependency of an attention op on its received input: structure
   // stays sound, but the per-micro-batch order is no longer enforced.
   Op* attn = nullptr;
-  for (auto& stage : s.stage_ops) {
-    for (auto& op : stage) {
-      if (op.kind == OpKind::kFwdAttn && !op.deps.empty()) {
-        attn = &op;
+  for (const auto& program : s.programs) {
+    for (const OpId id : program) {
+      const bool has_deps = std::any_of(s.deps.begin(), s.deps.end(),
+                                        [id](const Dep& d) { return d.op == id; });
+      if (s.ops[static_cast<std::size_t>(id)].kind == OpKind::kFwdAttn && has_deps) {
+        attn = &s.ops[static_cast<std::size_t>(id)];
         break;
       }
     }
@@ -122,7 +142,7 @@ TEST(ValidatorNegative, DetectsMissingSemanticOrder) {
   ASSERT_NE(attn, nullptr);
   // Re-point the attention at nothing (remove its data dependency) and move
   // it to another micro batch id to break the chain lookup.
-  attn->deps.clear();
+  std::erase_if(s.deps, [attn](const Dep& d) { return d.op == attn->id; });
   attn->mb = static_cast<std::int16_t>(attn->mb == 0 ? 1 : 0);
   expect_names(validate_semantics(s), "FwdAttn(id=");
 }
@@ -135,25 +155,18 @@ TEST(CoverageNegative, BaselineCoversEverything) {
 
 TEST(CoverageNegative, DetectsDroppedOp) {
   auto s = valid();
-  for (auto& stage : s.stage_ops) {
-    for (std::size_t i = 0; i < stage.size(); ++i) {
-      if (stage[i].kind == OpKind::kBwdAttn) {
-        const std::string layer = std::to_string(stage[i].layer);
-        stage.erase(stage.begin() + static_cast<std::ptrdiff_t>(i));
-        expect_names(validate_coverage(s), "expected 1x BwdAttn(layer " + layer + "), got 0");
-        return;
-      }
-    }
-  }
-  FAIL() << "no BwdAttn found";
+  const Op* dropped = erase_from_program(s, OpKind::kBwdAttn);
+  ASSERT_NE(dropped, nullptr) << "no BwdAttn found";
+  expect_names(validate_coverage(s),
+               "expected 1x BwdAttn(layer " + std::to_string(dropped->layer) + "), got 0");
 }
 
 TEST(CoverageNegative, DetectsDuplicatedOp) {
   auto s = valid();
-  auto& stage = s.stage_ops[0];
-  for (const auto& op : stage) {
-    if (op.kind == OpKind::kFwdPost) {
-      stage.push_back(op);  // same (mb, layer) executed twice
+  auto& program = s.programs[0];
+  for (const OpId id : program) {
+    if (s.ops[static_cast<std::size_t>(id)].kind == OpKind::kFwdPost) {
+      program.push_back(id);  // same (mb, layer) executed twice
       break;
     }
   }
@@ -164,27 +177,20 @@ TEST(CoverageNegative, DetectsStrayBackwardW) {
   auto s = valid();
   // A backward-W without a decoupled backward-B is double-counted gradient.
   Op stray;
-  stray.id = static_cast<OpId>(s.total_ops());
+  stray.id = static_cast<OpId>(s.ops.size());
   stray.kind = OpKind::kBwdWPre;
   stray.stage = 0;
   stray.mb = 0;
   stray.layer = 0;
-  s.stage_ops[0].push_back(stray);
+  s.ops.push_back(stray);
+  s.programs[0].push_back(stray.id);
   expect_names(validate_coverage(s), "mb 0: expected 0x BwdWPre(layer 0), got 1");
 }
 
 TEST(CoverageNegative, DetectsMissingOptimStep) {
   auto s = valid();
-  for (auto& stage : s.stage_ops) {
-    for (std::size_t i = 0; i < stage.size(); ++i) {
-      if (stage[i].kind == OpKind::kOptimStep) {
-        stage.erase(stage.begin() + static_cast<std::ptrdiff_t>(i));
-        expect_names(validate_coverage(s), "expected exactly 1 OptimStep, got 0");
-        return;
-      }
-    }
-  }
-  FAIL() << "no OptimStep found";
+  ASSERT_NE(erase_from_program(s, OpKind::kOptimStep), nullptr) << "no OptimStep found";
+  expect_names(validate_coverage(s), "expected exactly 1 OptimStep, got 0");
 }
 
 TEST(CoverageNegative, DetectsMicroBatchOutOfRange) {
@@ -222,7 +228,7 @@ TEST(CoverageNegative, DeferredEmbedBwdRequiresDecoupledHead) {
 
 TEST(ValidatorNegative, SimulatorRejectsNonDenseIds) {
   auto s = valid();
-  s.stage_ops[0][0].id = 100000;
+  s.ops[static_cast<std::size_t>(s.programs[0][0])].id = 100000;
   const core::UnitCostModel cost;
   EXPECT_THROW(sim::Simulator(cost).run(s), std::logic_error);
 }

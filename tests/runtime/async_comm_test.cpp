@@ -131,7 +131,7 @@ TEST(AsyncComm, EngineIsEngagedAndAccountingStaysOnePerOp) {
   const AsyncTracedRun run =
       run_async_traced(ScheduleFamily::kHelixTwoFold, kUnboundedLookahead);
   for (int r = 0; r < 2; ++r) {
-    const auto& program = run.sched.stage_ops[static_cast<std::size_t>(r)];
+    const auto& program = run.sched.programs[static_cast<std::size_t>(r)];
     // The async paths really ran: sends through the comm worker, recvs as
     // posted handles.
     EXPECT_GT(run.trace.comm(r).isend_posted.value, 0) << "rank " << r;

@@ -34,7 +34,8 @@ obs::HealthOptions quiet_health() {
 
 /// The first pipeline Send of stage 0: the (dst, tag) to fault.
 core::Op first_stage0_send(const core::Schedule& sched) {
-  for (const core::Op& op : sched.stage_ops[0]) {
+  for (const core::OpId id : sched.programs[0]) {
+    const core::Op& op = sched.ops[static_cast<std::size_t>(id)];
     if (op.kind == core::OpKind::kSend) return op;
   }
   ADD_FAILURE() << "schedule has no Send on stage 0";

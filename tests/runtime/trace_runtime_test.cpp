@@ -95,7 +95,10 @@ TEST(RuntimeTrace, SpansAreSeriallyOrderedPerRank) {
   const TracedRun run = run_traced(ScheduleFamily::kHelixTwoFold, 2);
   for (int r = 0; r < run.trace.num_ranks(); ++r) {
     const auto& spans = run.trace.recorder(r).spans();
-    const auto& program = run.sched.stage_ops[static_cast<std::size_t>(r)];
+    std::vector<core::Op> program;  // the rank's op records in program order
+    for (const core::OpId id : run.sched.programs[static_cast<std::size_t>(r)]) {
+      program.push_back(run.sched.ops[static_cast<std::size_t>(id)]);
+    }
     ASSERT_EQ(spans.size(), program.size()) << "rank " << r;
     std::size_t next_compute = 0;  ///< program cursor over compute ops only
     for (std::size_t i = 0; i < spans.size(); ++i) {
@@ -196,7 +199,7 @@ TEST(RuntimeTrace, RankSummariesCoverEveryRank) {
     EXPECT_EQ(s.rank, r);
     EXPECT_EQ(s.ops_executed,
               static_cast<std::int64_t>(
-                  run.sched.stage_ops[static_cast<std::size_t>(r)].size()));
+                  run.sched.programs[static_cast<std::size_t>(r)].size()));
     EXPECT_GT(s.busy_ns, 0);
     EXPECT_GT(s.bytes_sent, 0);
     EXPECT_GT(s.bytes_received, 0);

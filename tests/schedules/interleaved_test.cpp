@@ -94,9 +94,7 @@ TEST(Interleaved, VTimesTheCommunication) {
   const auto pr = problem(p, m, L);
   const auto count_sends = [](const core::Schedule& s) {
     std::size_t n = 0;
-    for (const auto& stage : s.stage_ops) {
-      for (const auto& op : stage) n += op.kind == core::OpKind::kSend;
-    }
+    for (const core::Op& op : s.ops) n += op.kind == core::OpKind::kSend;
     return n;
   };
   const auto v1 = count_sends(build_interleaved_1f1b(pr, {.virtual_chunks = 1}));

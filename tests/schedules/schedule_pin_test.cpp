@@ -127,9 +127,11 @@ std::uint64_t hash_schedule(const core::Schedule& s) {
   f.mix_signed(s.num_stages);
   f.mix_signed(s.num_micro_batches);
   f.mix_signed(s.num_layers);
-  for (const std::vector<core::Op>& prog : s.stage_ops) {
+  const core::DepLists deps = core::pack_deps(s);
+  for (const std::vector<core::OpId>& prog : s.programs) {
     f.mix(prog.size());
-    for (const core::Op& op : prog) {
+    for (const core::OpId id : prog) {
+      const core::Op& op = s.ops[static_cast<std::size_t>(id)];
       f.mix_signed(op.id);
       f.mix(static_cast<std::uint64_t>(op.kind));
       f.mix_signed(op.stage);
@@ -143,8 +145,11 @@ std::uint64_t hash_schedule(const core::Schedule& s) {
       f.mix_signed(op.free_bytes);
       f.mix_signed(op.transient_bytes);
       f.mix(op.combines_w ? 1 : 0);
-      f.mix(op.deps.size());
-      for (const core::OpId d : op.deps) f.mix_signed(d);
+      const auto i = static_cast<std::size_t>(id);
+      f.mix(deps.offset[i + 1] - deps.offset[i]);
+      for (std::uint32_t e = deps.offset[i]; e < deps.offset[i + 1]; ++e) {
+        f.mix_signed(deps.edges[e]);
+      }
     }
   }
   return f.h;

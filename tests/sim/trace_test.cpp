@@ -88,7 +88,8 @@ TEST(Trace, SimAndRuntimeExportersShareFieldNamesAndEventNames) {
   obs::TraceCollector collector(sched.num_stages);
   std::int64_t t = collector.epoch_ns();
   for (int s = 0; s < sched.num_stages; ++s) {
-    for (const core::Op& op : sched.stage_ops[static_cast<std::size_t>(s)]) {
+    for (const core::OpId id : sched.programs[static_cast<std::size_t>(s)]) {
+      const core::Op& op = sched.ops[static_cast<std::size_t>(id)];
       obs::Span span;
       span.kind = op.kind;
       span.stage = op.stage;

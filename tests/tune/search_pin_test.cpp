@@ -107,9 +107,9 @@ std::uint64_t hash_report(const TuneReport& rep) {
   f.mix(rep.best.prov.recompute ? 1 : 0);
   f.mix_signed(rep.best.prov.virtual_chunks);
   f.mix_signed(rep.best.prov.lookahead_shift);
-  for (const std::vector<core::Op>& prog : rep.best.schedule.stage_ops) {
+  for (const std::vector<core::OpId>& prog : rep.best.schedule.programs) {
     f.mix(prog.size());
-    for (const core::Op& op : prog) f.mix_signed(op.id);
+    for (const core::OpId id : prog) f.mix_signed(id);
   }
   return f.h;
 }

@@ -56,20 +56,18 @@ class Oracle {
  public:
   explicit Oracle(const core::Schedule& s) : succ_(s.total_ops()), seen_(s.total_ops()) {
     std::map<std::int32_t, core::OpId> send_by_tag;
-    for (const auto& stage : s.stage_ops) {
-      for (const core::Op& op : stage) {
-        if (op.kind == core::OpKind::kSend) send_by_tag[op.tag] = op.id;
-      }
+    for (const core::Op& op : s.ops) {
+      if (op.kind == core::OpKind::kSend) send_by_tag[op.tag] = op.id;
     }
-    for (const auto& stage : s.stage_ops) {
-      for (std::size_t k = 0; k < stage.size(); ++k) {
-        const core::Op& op = stage[k];
-        for (const core::OpId d : op.deps) add(d, op.id);
+    for (const core::Dep& d : s.deps) add(d.dep, d.op);
+    for (const auto& program : s.programs) {
+      for (std::size_t k = 0; k < program.size(); ++k) {
+        const core::Op& op = s.ops[static_cast<std::size_t>(program[k])];
         if (op.kind == core::OpKind::kRecv) {
           const auto it = send_by_tag.find(op.tag);
           if (it != send_by_tag.end()) add(it->second, op.id);
         }
-        if (k + 1 < stage.size()) add(op.id, stage[k + 1].id);
+        if (k + 1 < program.size()) add(op.id, program[k + 1]);
       }
     }
     for (const auto& [a, b] : core::semantic_order_edges(s)) add(a, b);

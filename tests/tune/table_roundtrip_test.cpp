@@ -1,13 +1,15 @@
 // Lossless round-trip contract of the tabular schedule view (DESIGN §15):
 // lower(lift(s)) is op-for-op identical to s — every field, every dependency
 // — for every family in the registry, across seeded helix_check shapes. The
-// compiled (SoA) forms must match too, which pins the stronger property that
+// compiled forms must match too, which pins the stronger property that
 // every consumer of the IR (simulator, validators, runtime interpreter) sees
 // exactly the same program through either view.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "check/config.h"
@@ -52,29 +54,30 @@ void expect_ops_identical(const core::Schedule& a, const core::Schedule& b) {
   ASSERT_EQ(a.num_stages, b.num_stages);
   ASSERT_EQ(a.num_micro_batches, b.num_micro_batches);
   ASSERT_EQ(a.num_layers, b.num_layers);
-  ASSERT_EQ(a.stage_ops.size(), b.stage_ops.size());
-  for (std::size_t s = 0; s < a.stage_ops.size(); ++s) {
-    SCOPED_TRACE("stage " + std::to_string(s));
-    ASSERT_EQ(a.stage_ops[s].size(), b.stage_ops[s].size());
-    for (std::size_t i = 0; i < a.stage_ops[s].size(); ++i) {
-      const core::Op& x = a.stage_ops[s][i];
-      const core::Op& y = b.stage_ops[s][i];
-      SCOPED_TRACE("op " + std::to_string(i));
-      EXPECT_EQ(x.id, y.id);
-      EXPECT_EQ(x.kind, y.kind);
-      EXPECT_EQ(x.stage, y.stage);
-      EXPECT_EQ(x.mb, y.mb);
-      EXPECT_EQ(x.layer, y.layer);
-      EXPECT_EQ(x.peer, y.peer);
-      EXPECT_EQ(x.tag, y.tag);
-      EXPECT_EQ(x.slot, y.slot);
-      EXPECT_EQ(x.comm_elems, y.comm_elems);
-      EXPECT_EQ(x.alloc_bytes, y.alloc_bytes);
-      EXPECT_EQ(x.free_bytes, y.free_bytes);
-      EXPECT_EQ(x.transient_bytes, y.transient_bytes);
-      EXPECT_EQ(x.combines_w, y.combines_w);
-      EXPECT_EQ(x.deps, y.deps);
-    }
+  EXPECT_EQ(a.programs, b.programs);
+  ASSERT_EQ(a.ops.size(), b.ops.size());
+  for (std::size_t i = 0; i < a.ops.size(); ++i) {
+    const core::Op& x = a.ops[i];
+    const core::Op& y = b.ops[i];
+    SCOPED_TRACE("op " + std::to_string(i));
+    EXPECT_EQ(x.id, y.id);
+    EXPECT_EQ(x.kind, y.kind);
+    EXPECT_EQ(x.stage, y.stage);
+    EXPECT_EQ(x.mb, y.mb);
+    EXPECT_EQ(x.layer, y.layer);
+    EXPECT_EQ(x.peer, y.peer);
+    EXPECT_EQ(x.tag, y.tag);
+    EXPECT_EQ(x.slot, y.slot);
+    EXPECT_EQ(x.comm_elems, y.comm_elems);
+    EXPECT_EQ(x.alloc_bytes, y.alloc_bytes);
+    EXPECT_EQ(x.free_bytes, y.free_bytes);
+    EXPECT_EQ(x.transient_bytes, y.transient_bytes);
+    EXPECT_EQ(x.combines_w, y.combines_w);
+  }
+  ASSERT_EQ(a.deps.size(), b.deps.size());
+  for (std::size_t e = 0; e < a.deps.size(); ++e) {
+    EXPECT_EQ(a.deps[e].op, b.deps[e].op) << "dependency " << e;
+    EXPECT_EQ(a.deps[e].dep, b.deps[e].dep) << "dependency " << e;
   }
 }
 
@@ -84,14 +87,7 @@ void expect_compiled_identical(const core::CompiledSchedule& a,
   EXPECT_EQ(a.num_micro_batches, b.num_micro_batches);
   EXPECT_EQ(a.num_layers, b.num_layers);
   EXPECT_EQ(a.num_edges, b.num_edges);
-  EXPECT_EQ(a.kind, b.kind);
-  EXPECT_EQ(a.stage, b.stage);
-  EXPECT_EQ(a.mb, b.mb);
-  EXPECT_EQ(a.layer, b.layer);
-  EXPECT_EQ(a.tag, b.tag);
-  EXPECT_EQ(a.comm_elems, b.comm_elems);
-  EXPECT_EQ(a.mem_acquire, b.mem_acquire);
-  EXPECT_EQ(a.mem_release, b.mem_release);
+  expect_ops_identical(a.schedule(), b.schedule());
   EXPECT_EQ(a.dep_offset, b.dep_offset);
   EXPECT_EQ(a.dep_edges, b.dep_edges);
   EXPECT_EQ(a.succ_offset, b.succ_offset);
@@ -100,18 +96,33 @@ void expect_compiled_identical(const core::CompiledSchedule& a,
   EXPECT_EQ(a.matching_send, b.matching_send);
   EXPECT_EQ(a.send_of_tag, b.send_of_tag);
   EXPECT_EQ(a.recv_of_tag, b.recv_of_tag);
-  EXPECT_EQ(a.stage_offset, b.stage_offset);
-  EXPECT_EQ(a.stage_program, b.stage_program);
   EXPECT_EQ(a.compute_offset, b.compute_offset);
   EXPECT_EQ(a.compute_chain, b.compute_chain);
   EXPECT_EQ(a.mem_count, b.mem_count);
   EXPECT_EQ(a.topo, b.topo);
 }
 
+/// Positions (producer, consumer) of the first pair in `row` where the
+/// consumer depends on an op earlier in the row; (0, 0) when none does.
+std::pair<std::size_t, std::size_t> first_dependent_pair(const core::Schedule& s,
+                                                         const std::vector<core::OpId>& row) {
+  const core::DepLists deps = core::pack_deps(s);
+  for (std::size_t k = 0; k < row.size(); ++k) {
+    const auto c = static_cast<std::size_t>(row[k]);
+    for (std::uint32_t e = deps.offset[c]; e < deps.offset[c + 1]; ++e) {
+      const auto j = static_cast<std::size_t>(
+          std::find(row.begin(), row.begin() + static_cast<std::ptrdiff_t>(k), deps.edges[e]) -
+          row.begin());
+      if (j < k) return {j, k};
+    }
+  }
+  return {0, 0};
+}
+
 }  // namespace
 
 // The core property: lift then lower reproduces the schedule exactly — both
-// as IR records and as the compiled SoA form — for every applicable family
+// as a store and as the compiled form — for every applicable family
 // on every seeded helix_check shape.
 TEST(TableRoundtrip, LowerLiftIsIdentityForAllFamiliesOnSeededShapes) {
   const core::UnitCostModel cost = unit_cost();
@@ -142,12 +153,10 @@ TEST(TableRoundtrip, FindReturnsEveryOpAndFingerprintIsOrderSensitive) {
       schedules::family_registry().front().build(pr, cost);
   tune::Table t = tune::Table::lift(sched);
 
-  for (const auto& stage : sched.stage_ops) {
-    for (const core::Op& op : stage) {
-      const auto at = t.find(op.id);
-      ASSERT_TRUE(at.has_value());
-      EXPECT_EQ(t.op(at->rank, at->slot).id, op.id);
-    }
+  for (const core::Op& op : sched.ops) {
+    const auto at = t.find(op.id);
+    ASSERT_TRUE(at.has_value());
+    EXPECT_EQ(t.op(at->rank, at->slot).id, op.id);
   }
   EXPECT_FALSE(t.find(-1).has_value());
   EXPECT_FALSE(t.find(static_cast<core::OpId>(t.total_cells())).has_value());
@@ -170,10 +179,11 @@ TEST(TableRoundtrip, LiftRejectsNonDenseIds) {
   s.num_stages = 1;
   s.num_micro_batches = 1;
   s.num_layers = 1;
-  s.stage_ops.resize(1);
   core::Op op;
   op.id = 5;  // not dense: only one op, id must be 0
-  s.stage_ops[0].push_back(op);
+  op.stage = 0;
+  s.ops.push_back(op);
+  s.programs = {{0}};
   EXPECT_THROW(tune::Table::lift(s), std::invalid_argument);
 }
 
@@ -182,19 +192,8 @@ TEST(TableRoundtrip, LiftRejectsNonDenseIds) {
 // legality questions on a cyclic graph.
 TEST(TableRoundtrip, LiftRejectsACyclicRowOrderByName) {
   core::Schedule s = schedules::find_family("1f1b")->build(make_problem(2, 4, 4), unit_cost());
-  std::vector<core::Op>& row = s.stage_ops[0];
-  std::size_t producer = 0;
-  std::size_t consumer = 0;
-  for (std::size_t k = 0; k < row.size() && consumer == 0; ++k) {
-    for (const core::OpId d : row[k].deps) {
-      for (std::size_t j = 0; j < k; ++j) {
-        if (row[j].id == d) {
-          producer = j;
-          consumer = k;
-        }
-      }
-    }
-  }
+  std::vector<core::OpId>& row = s.programs[0];
+  const auto [producer, consumer] = first_dependent_pair(s, row);
   ASSERT_LT(producer, consumer);
   std::swap(row[producer], row[consumer]);
   try {
@@ -212,10 +211,7 @@ TEST(TableRoundtrip, LiftRejectsACyclicRowOrderByName) {
 TEST(TableRoundtrip, ReorderRefusesForeignOpsAndCyclicRows) {
   const core::Schedule s = schedules::find_family("1f1b")->build(make_problem(2, 4, 4), unit_cost());
   tune::Table t = tune::Table::lift(s);
-  std::vector<std::vector<core::OpId>> rows(s.stage_ops.size());
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    for (const core::Op& op : s.stage_ops[r]) rows[r].push_back(op.id);
-  }
+  const std::vector<std::vector<core::OpId>> rows = s.programs;
   EXPECT_FALSE(t.reorder(rows));
   const std::uint64_t before = t.fingerprint();
 
@@ -225,16 +221,9 @@ TEST(TableRoundtrip, ReorderRefusesForeignOpsAndCyclicRows) {
   EXPECT_THROW(t.reorder(foreign), std::invalid_argument);
 
   auto cyclic = rows;  // a consumer ahead of its producer in one row
-  const std::vector<core::Op>& row = s.stage_ops[0];
-  for (std::size_t k = 0; k < row.size() && cyclic == rows; ++k) {
-    for (std::size_t j = 0; j < k; ++j) {
-      if (std::find(row[k].deps.begin(), row[k].deps.end(), row[j].id) != row[k].deps.end()) {
-        std::swap(cyclic[0][j], cyclic[0][k]);
-        break;
-      }
-    }
-  }
-  ASSERT_NE(cyclic, rows);
+  const auto [producer, consumer] = first_dependent_pair(s, rows[0]);
+  ASSERT_LT(producer, consumer);
+  std::swap(cyclic[0][producer], cyclic[0][consumer]);
   EXPECT_THROW(t.reorder(cyclic), std::invalid_argument);
   EXPECT_EQ(t.fingerprint(), before);
   expect_ops_identical(s, t.lower());
