@@ -16,17 +16,21 @@
 // realloc canaries) is reported regardless of threshold. Exit code is 0
 // unless --fail-on-regression is given and a regression (or counter drift)
 // was found — the informational default lets CI upload the comparison
-// without gating merges on wall-clock noise.
+// without gating merges on wall-clock noise. A --threshold that is not a
+// finite number >= 0 read whole, a flag without its value, an unknown flag
+// or a third file prints the message and the usage and exits 2.
 //
 // The parser covers exactly the JSON subset bench/json.h emits: objects,
 // arrays, strings with escapes, numbers, booleans, null. Unknown keys are
 // ignored, so schema growth stays backward compatible.
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -278,6 +282,27 @@ BenchFile load(const char* path) {
   return out;
 }
 
+/// Print `why` and the usage to stderr; returns the exit code 2.
+int usage(const std::string& why) {
+  std::fprintf(stderr,
+               "%s\n"
+               "usage: perf_compare BASELINE.json CANDIDATE.json "
+               "[--threshold FRAC] [--fail-on-regression] "
+               "[--only PREFIX]...\n"
+               "  --threshold   finite number >= 0 (default 0.25)\n",
+               why.c_str());
+  return 2;
+}
+
+/// `text` as a finite number >= 0, read whole; nullopt otherwise.
+std::optional<double> parse_nonnegative(const std::string& text) {
+  double v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end || !std::isfinite(v) || v < 0) return std::nullopt;
+  return v;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -287,27 +312,31 @@ int main(int argc, char** argv) {
   bool fail_on_regression = false;
   std::vector<std::string> only;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threshold") == 0 && i + 1 < argc) {
-      threshold = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--only") == 0 && i + 1 < argc) {
+    const char* f = argv[i];
+    const bool takes_value =
+        std::strcmp(f, "--threshold") == 0 || std::strcmp(f, "--only") == 0;
+    if (takes_value && i + 1 >= argc) return usage(std::string("missing value for ") + f);
+    if (std::strcmp(f, "--threshold") == 0) {
+      const std::string text = argv[++i];
+      const std::optional<double> v = parse_nonnegative(text);
+      if (!v) return usage("bad --threshold '" + text + "': expected a finite number >= 0");
+      threshold = *v;
+    } else if (std::strcmp(f, "--only") == 0) {
       only.emplace_back(argv[++i]);
-    } else if (std::strcmp(argv[i], "--fail-on-regression") == 0) {
+    } else if (std::strcmp(f, "--fail-on-regression") == 0) {
       fail_on_regression = true;
+    } else if (std::strncmp(f, "--", 2) == 0) {
+      return usage(std::string("unknown flag ") + f);
     } else if (base_path == nullptr) {
-      base_path = argv[i];
+      base_path = f;
     } else if (cand_path == nullptr) {
-      cand_path = argv[i];
+      cand_path = f;
     } else {
-      std::fprintf(stderr, "unexpected argument: %s\n", argv[i]);
-      return 2;
+      return usage(std::string("unexpected argument: ") + f);
     }
   }
   if (base_path == nullptr || cand_path == nullptr) {
-    std::fprintf(stderr,
-                 "usage: perf_compare BASELINE.json CANDIDATE.json "
-                 "[--threshold FRAC] [--fail-on-regression] "
-                 "[--only PREFIX]...\n");
-    return 2;
+    return usage("two bench files are required");
   }
   // --only restricts the comparison (metrics and counters alike) to keys
   // under any given prefix — so CI can gate on the stable deterministic
