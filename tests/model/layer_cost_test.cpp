@@ -85,9 +85,16 @@ INSTANTIATE_TEST_SUITE_P(
                       LayerDims{.s = 65536, .b = 1, .h = 5120},
                       LayerDims{.s = 64, .b = 4, .h = 32}),
     [](const auto& info) {
+      // Appended piece by piece: GCC 12 reports a false -Wrestrict on
+      // "literal" + std::to_string(...).
       const auto& d = info.param;
-      return "s" + std::to_string(d.s) + "_b" + std::to_string(d.b) + "_h" +
-             std::to_string(d.h);
+      std::string name = "s";
+      name += std::to_string(d.s);
+      name += "_b";
+      name += std::to_string(d.b);
+      name += "_h";
+      name += std::to_string(d.h);
+      return name;
     });
 
 TEST(LayerCostTable, EightOpsInOrder) {

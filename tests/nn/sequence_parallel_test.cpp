@@ -130,7 +130,11 @@ TEST_P(SpEquivalence, LayerMatchesSingleDevice) {
 
 INSTANTIATE_TEST_SUITE_P(Degrees, SpEquivalence, ::testing::Values(1, 2, 4),
                          [](const auto& info) {
-                           return "t" + std::to_string(info.param);
+                           // Appended: GCC 12 reports a false -Wrestrict on
+                           // "literal" + std::to_string(...).
+                           std::string name = "t";
+                           name += std::to_string(info.param);
+                           return name;
                          });
 
 TEST(SpShard, RejectsBadDegrees) {

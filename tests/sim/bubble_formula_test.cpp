@@ -209,9 +209,16 @@ INSTANTIATE_TEST_SUITE_P(Shapes, BubbleFormulas,
                                            ShapeCase{4, 8, 16}, ShapeCase{8, 8, 16},
                                            ShapeCase{8, 16, 16}, ShapeCase{8, 32, 32}),
                          [](const auto& info) {
+                           // Appended piece by piece: GCC 12 reports a false
+                           // -Wrestrict on "literal" + std::to_string(...).
                            const auto& c = info.param;
-                           return "p" + std::to_string(c.p) + "_m" + std::to_string(c.m) +
-                                  "_L" + std::to_string(c.L);
+                           std::string name = "p";
+                           name += std::to_string(c.p);
+                           name += "_m";
+                           name += std::to_string(c.m);
+                           name += "_L";
+                           name += std::to_string(c.L);
+                           return name;
                          });
 
 }  // namespace

@@ -133,7 +133,9 @@ TEST(CriticalPath, RenderMentionsEveryStage) {
   const auto rep = sim::critical_path(sched, res);
   const std::string summary = sim::render_critical_path(rep);
   for (int s = 0; s < pr.p; ++s) {
-    EXPECT_NE(summary.find("P" + std::to_string(s)), std::string::npos);
+    std::string stage = "P";  // appended: GCC 12's false -Wrestrict on "P" + ...
+    stage += std::to_string(s);
+    EXPECT_NE(summary.find(stage), std::string::npos);
   }
   // The chain overload appends op rows.
   const std::string with_chain = sim::render_critical_path(rep, sched, 8);
