@@ -162,8 +162,7 @@ void bench_simulate(Harness& h, obs::prof::Registry& reg,
       // steady-state relaxation a sweep pays per configuration, with the
       // workspace reused across reps (zero allocation after the first run —
       // the sim.workspace.reallocs canary enforces it).
-      const core::Schedule sched = f.build(pr, cost);
-      const core::CompiledSchedule cs = core::CompiledSchedule::build(sched);
+      const core::CompiledSchedule cs = core::CompiledSchedule::build(f.build(pr, cost));
       const sim::Simulator simulator(cost);
       sim::SimWorkspace ws;
       h.measure(grid_key("sim", f.key, pr), [&] {

@@ -66,11 +66,9 @@ Interpreter::Interpreter(const core::CompiledSchedule& schedule, int rank,
                          const nn::Batch& batch, InterpreterOptions options)
     : compiled_(schedule), rank_(rank), comm_(comm), params_(params),
       batch_(batch), opt_(options),
-      recompute_(std::any_of(schedule.schedule().ops.begin(), schedule.schedule().ops.end(),
-                             [](const Op& op) {
-                               return op.kind == OpKind::kRecomputePre ||
-                                      op.kind == OpKind::kRecomputePost;
-                             })) {}
+      recompute_(std::ranges::any_of(schedule.schedule().ops, [](const Op& op) {
+        return op.kind == OpKind::kRecomputePre || op.kind == OpKind::kRecomputePost;
+      })) {}
 
 template <class Map>
 void Interpreter::put(Map& map, const typename Map::key_type& key,
