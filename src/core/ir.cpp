@@ -131,10 +131,15 @@ void ScheduleBuilder::add_dep(OpId op, OpId dep) {
   sched_.deps.push_back({op, dep});
 }
 
+Op& ScheduleBuilder::last() {
+  if (sched_.ops.empty()) throw std::out_of_range("no op added yet");
+  return sched_.ops.back();
+}
+
 ScheduleBuilder& ScheduleBuilder::with_memory(std::int64_t alloc,
                                               std::int64_t free_bytes,
                                               std::int64_t transient) {
-  Op& o = sched_.ops.back();
+  Op& o = last();
   o.alloc_bytes = alloc;
   o.free_bytes = free_bytes;
   o.transient_bytes = transient;
@@ -142,7 +147,7 @@ ScheduleBuilder& ScheduleBuilder::with_memory(std::int64_t alloc,
 }
 
 ScheduleBuilder& ScheduleBuilder::decoupled() {
-  sched_.ops.back().combines_w = false;
+  last().combines_w = false;
   return *this;
 }
 
@@ -160,7 +165,7 @@ ScheduleBuilder::PendingTransfer ScheduleBuilder::add_send(
   t.slot = slot;
   t.send = add(OpKind::kSend, src, mb, layer,
                std::span<const OpId>(&producer, producer == kNoOp ? 0 : 1));
-  Op& s = sched_.ops.back();
+  Op& s = last();
   s.peer = static_cast<std::int16_t>(dst);
   s.tag = t.tag;
   s.comm_elems = elems;
@@ -170,7 +175,7 @@ ScheduleBuilder::PendingTransfer ScheduleBuilder::add_send(
 
 OpId ScheduleBuilder::add_recv(const PendingTransfer& t) {
   const OpId recv = add(OpKind::kRecv, t.dst, t.mb, t.layer);
-  Op& r = sched_.ops.back();
+  Op& r = last();
   r.peer = static_cast<std::int16_t>(t.src);
   r.tag = t.tag;
   r.comm_elems = t.elems;

@@ -226,6 +226,9 @@ class ScheduleBuilder {
   Schedule finish() &&;
 
  private:
+  /// The most recently added op; throws std::out_of_range before any add.
+  Op& last();
+
   Schedule sched_;
   std::int32_t next_tag_ = 0;
 };

@@ -4,6 +4,10 @@
 // program order enforced by the dependency graph).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <utility>
+#include <vector>
+
 #include "core/cost.h"
 #include "core/filo.h"
 #include "core/validator.h"
@@ -99,6 +103,23 @@ TEST(HelixSchedule, RejectsBadShapes) {
   pr = small_problem(4, 8, 6);  // L not divisible by p
   EXPECT_THROW(core::build_helix_schedule(pr, {.two_fold = false, .recompute_without_attention = false}),
                std::invalid_argument);
+}
+
+// The builder edits its most recent op in place; before any op there is
+// none to edit, and an add_dep must name an op already added.
+TEST(ScheduleBuilderStore, RefusesEditsOfOpsNotYetAdded) {
+  core::ScheduleBuilder b("edits", 2, 1, 1);
+  EXPECT_THROW(b.with_memory(1, 1), std::out_of_range);
+  EXPECT_THROW(b.decoupled(), std::out_of_range);
+  const core::OpId a = b.add(core::OpKind::kFwdPre, 0, 0, 0);
+  EXPECT_THROW(b.add_dep(a + 1, a), std::out_of_range);
+  const core::OpId c = b.add(core::OpKind::kFwdAttn, 1, 0, 0, {a});
+  b.add_dep(c, a);
+  const core::Schedule s = std::move(b).finish();
+  ASSERT_EQ(s.deps.size(), 2u);
+  EXPECT_EQ(s.deps[1].op, c);
+  EXPECT_EQ(s.deps[1].dep, a);
+  EXPECT_EQ(s.programs, (std::vector<std::vector<core::OpId>>{{a}, {c}}));
 }
 
 }  // namespace
