@@ -1,10 +1,13 @@
 // Differential pin for the schedule checker. A seeded corpus of registry
 // schedules, tuner mutation chains and random corruptions (checker_corpus.h)
-// is hashed twice: once over every (structure, semantics, coverage) verdict,
-// once over every core::semantic_order_edges list. The expected values were
-// captured from the previous checker — an adjacency-list graph walked with
-// one BFS per chain edge, beside the tuner's own copy of the chain order —
-// so a changed verdict or a reordered constraint edge fails here. Every
+// is hashed three times: over every (structure, semantics, coverage)
+// verdict, over every core::semantic_order_edges list, and over every error
+// message the three validators report, in order. The verdict and edge
+// values were captured from the previous checker — an adjacency-list graph
+// walked with one BFS per chain edge, beside the tuner's own copy of the
+// chain order — and the message value from the checker that walked the
+// topological order once per micro batch, so a changed verdict, a reordered
+// constraint edge or a changed or reordered message fails here. Every
 // corpus schedule that compiles is also checked through validate_semantics'
 // compiled-form overload, which must report exactly what the Schedule
 // overload does.
@@ -15,6 +18,8 @@
 #include <cstdio>
 #include <optional>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "checker_corpus.h"
 #include "core/compiled.h"
@@ -32,6 +37,18 @@ struct Fnv {
       h *= 1099511628211ull;
     }
   }
+  /// One validator's report: its message count, then each message prefixed
+  /// with its size.
+  void mix(const std::vector<std::string>& errors) {
+    mix(errors.size());
+    for (const std::string& e : errors) {
+      mix(e.size());
+      for (const char c : e) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 1099511628211ull;
+      }
+    }
+  }
 };
 
 }  // namespace
@@ -45,14 +62,22 @@ TEST(CheckerDifferential, VerdictsAndOrderEdgesMatchPinnedHashes) {
                                  .seed = 20261017};
   Fnv verdicts;
   Fnv edges;
+  Fnv messages;
   std::int64_t cases = 0;
+  std::int64_t message_count = 0;
   std::int64_t compiled = 0;
   std::int64_t passed[3] = {0, 0, 0};
   const auto t0 = std::chrono::steady_clock::now();
   corpus::for_each_corpus_schedule(spec, [&](const core::Schedule& s) {
-    const core::ValidationResult semantics = core::validate_semantics(s);
-    const bool ok[3] = {core::validate_structure(s).ok, semantics.ok,
-                        core::validate_coverage(s).ok};
+    const core::ValidationResult results[3] = {core::validate_structure(s),
+                                               core::validate_semantics(s),
+                                               core::validate_coverage(s)};
+    const core::ValidationResult& semantics = results[1];
+    const bool ok[3] = {results[0].ok, semantics.ok, results[2].ok};
+    for (const core::ValidationResult& r : results) {
+      messages.mix(r.errors);
+      message_count += static_cast<std::int64_t>(r.errors.size());
+    }
     std::optional<core::CompiledSchedule> cs;
     try {
       cs.emplace(core::CompiledSchedule::build(s));
@@ -82,13 +107,17 @@ TEST(CheckerDifferential, VerdictsAndOrderEdgesMatchPinnedHashes) {
               static_cast<long long>(passed[0]),
               static_cast<long long>(passed[1]), static_cast<long long>(passed[2]),
               secs);
-  std::printf("hashes: verdicts 0x%016llx, edges 0x%016llx\n",
+  std::printf("hashes: verdicts 0x%016llx, edges 0x%016llx, %lld messages 0x%016llx\n",
               static_cast<unsigned long long>(verdicts.h),
-              static_cast<unsigned long long>(edges.h));
+              static_cast<unsigned long long>(edges.h),
+              static_cast<long long>(message_count),
+              static_cast<unsigned long long>(messages.h));
 
   EXPECT_EQ(cases, 6968);
   EXPECT_EQ(verdicts.h, 0x1f6bbd057704cd44ull);
   EXPECT_EQ(edges.h, 0x86abe6289641be61ull);
+  EXPECT_EQ(message_count, 8984);
+  EXPECT_EQ(messages.h, 0x14f4df8ea8b198b4ull);
   // The corpus must exercise both sides of every checker, and the compiled
   // overload on schedules it passes and on schedules it fails.
   for (int i = 0; i < 3; ++i) {

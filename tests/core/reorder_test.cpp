@@ -1,7 +1,11 @@
 // List-scheduling order refinement: preserves structure and semantics,
-// improves (or at worst bounds) multi-loop FILO makespans, and is a no-op
-// in effect for already-optimal single-loop schedules.
+// improves (or at worst bounds) multi-loop FILO makespans, is a no-op in
+// effect for already-optimal single-loop schedules, and picks exactly the
+// rows pinned below.
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdio>
 
 #include "core/cost.h"
 #include "core/filo.h"
@@ -68,6 +72,69 @@ INSTANTIATE_TEST_SUITE_P(
     Shapes, Reorder,
     ::testing::Combine(::testing::Values(2, 4), ::testing::Values(8, 16),
                        ::testing::Values(8), ::testing::Bool()));
+
+// The rows reorder_stage_programs picks for multi-loop FILO schedules, as
+// built and as the tuner's relist mutation feeds them (semantic order edges
+// appended as deps), priced as the tuner's perfbench campaign prices them.
+// The expected hash was captured from the list scheduler that rescanned each
+// successor's dependency list, so a changed pick fails here.
+TEST(ReorderPin, RowsMatchPinnedHash) {
+  UnitCostModel::Units u;
+  u.pre = 1.0;
+  u.attn = 3.0;
+  u.post = 2.0;
+  u.seconds_per_elem = 0.1;
+  const UnitCostModel cost{u};
+  std::uint64_t h = 1469598103934665603ull;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  };
+  int cases = 0;
+  for (const bool two_fold : {false, true}) {
+    for (const bool rc : {false, true}) {
+      for (const int p : {2, 3, 4}) {
+        const int q = filo_loop_size(p, two_fold);
+        for (const int m : {2 * q, 3 * q}) {
+          for (const int L : {p, 2 * p}) {
+            PipelineProblem pr = problem(p, m, L);
+            pr.comm.boundary = 10;
+            pr.comm.pre_to_attn = 10;
+            pr.comm.attn_to_post = 10;
+            pr.include_lm_head = true;
+            pr.act.pre = 2;
+            pr.act.attn = 3;
+            pr.act.post = 11;
+            pr.act.attn_recompute = 2;
+            pr.act.post_recompute = 2;
+            const Schedule built = build_helix_schedule(
+                pr, {.two_fold = two_fold, .recompute_without_attention = rc});
+            const Schedule relist_input = [&built] {
+              Schedule s = built;
+              for (const auto& [a, b] : semantic_order_edges(built)) s.deps.push_back({b, a});
+              return s;
+            }();
+            for (const Schedule* in : {&built, &relist_input}) {
+              const Schedule re = reorder_stage_programs(*in, cost);
+              mix(re.programs.size());
+              for (const auto& row : re.programs) {
+                mix(row.size());
+                for (const OpId id : row) mix(static_cast<std::uint32_t>(id));
+              }
+              ++cases;
+            }
+          }
+        }
+      }
+    }
+  }
+  std::printf("reorder pin: %d cases, rows 0x%016llx\n", cases,
+              static_cast<unsigned long long>(h));
+  EXPECT_EQ(cases, 96);
+  EXPECT_EQ(h, 0x02c18bef2a66371full);
+}
 
 TEST(ReorderTuned, PicksGeneratorOrderForSingleLoop) {
   // build_helix_schedule_tuned must not degrade the Table-2-exact single
