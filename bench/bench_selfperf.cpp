@@ -38,6 +38,7 @@
 
 #include "common.h"
 #include "core/compiled.h"
+#include "core/validator.h"
 #include "json.h"
 #include "model/gpu_specs.h"
 #include "model/model_config.h"
@@ -53,6 +54,7 @@
 #include "sim/simulator.h"
 #include "sim/sweep.h"
 #include "tensor/ops.h"
+#include "tune/mutate.h"
 #include "tune/search.h"
 #include "tune/table.h"
 
@@ -255,12 +257,12 @@ void bench_paper_sweep(Harness& h, obs::prof::Registry& reg) {
   });
 }
 
-// The schedule autotuner (DESIGN §15): table round-trip cost, and one
-// fixed-seed short beam search. The search is deterministic (seeded RNG,
-// bit-identical sweep scoring, insertion-order tie breaks), so its
-// generation/candidate totals land in the counters array and perf_compare
-// flags any drift in the search loop exactly — a behavioural pin to go with
-// the wall-clock metrics.
+// The schedule autotuner (DESIGN §15): table round-trip cost, the IR gate's
+// semantic check and one relist, and one fixed-seed short beam search. The
+// search is deterministic (seeded RNG, bit-identical sweep scoring,
+// insertion-order tie breaks), so its generation/candidate totals land in
+// the counters array and perf_compare flags any drift in the search loop
+// exactly — a behavioural pin to go with the wall-clock metrics.
 void bench_tune(Harness& h, obs::prof::Registry& reg) {
   reg.set_phase("tune");
   std::printf("schedule autotuner (fixed-seed short search)\n");
@@ -284,6 +286,28 @@ void bench_tune(Harness& h, obs::prof::Registry& reg) {
     const tune::Table t = tune::Table::lift(sched);
     const core::Schedule s = t.lower();
     if (s.num_stages != sched.num_stages) std::abort();
+  });
+
+  // The search's two largest layers, one call each on the lifted naive seed
+  // of the Table 2 shape p = 8, L = 16 at m = 16: the IR gate's semantic
+  // check, and the relist mutation. The seed is built and compiled with the
+  // registry detached, so the phase's counters stay the search's.
+  core::PipelineProblem big = pr;
+  big.p = 8;
+  big.m = 16;
+  big.L = 16;
+  obs::prof::detach();
+  tune::Genome seed;
+  seed.table = tune::Table::lift(schedules::find_family("helix_naive")->build(big, cost));
+  const core::CompiledSchedule seed_cs = core::CompiledSchedule::build(seed.table.lower());
+  obs::prof::attach(&reg);
+  h.measure(grid_key("tune", "validate_semantics/helix_naive", big), [&] {
+    if (!core::validate_semantics(seed_cs).ok) std::abort();
+  });
+  std::mt19937_64 rng(1);
+  h.measure(grid_key("tune", "relist/helix_naive", big), [&] {
+    tune::Genome g = seed;
+    if (!tune::apply_mutation(g, tune::MutationKind::kRelist, rng, cost)) std::abort();
   });
 
   tune::TuneOptions opt;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 #include <vector>
 
@@ -14,13 +15,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 Schedule reorder_stage_programs(Schedule sched, const CostModel& cost) {
   const std::vector<Op>& ops = sched.ops;
   const std::size_t n = ops.size();
-  const DepLists deps = pack_deps(sched);
 
-  // Dependency edges: explicit deps plus the send->recv tag edge (a recv may
-  // be *picked* before its send completes — it then blocks its comm lane —
-  // but scheduling it before the send exists would be meaningless, so treat
-  // the send as a dependency for candidacy while using its end time only for
-  // the recv's completion).
   // Dense tag table (builder tags start at 0 and stay dense).
   std::int32_t max_tag = -1;
   for (const Op& op : ops) {
@@ -32,36 +27,78 @@ Schedule reorder_stage_programs(Schedule sched, const CostModel& cost) {
       send_by_tag[static_cast<std::size_t>(op.tag)] = op.id;
     }
   }
+  const auto matching_send = [&](const Op& recv) {
+    const OpId s = recv.tag < 0 ? kNoOp : send_by_tag[static_cast<std::size_t>(recv.tag)];
+    if (s == kNoOp) throw std::logic_error("reorder: recv without send");
+    return s;
+  };
+
+  // Successor edges, CSR-packed by source: the explicit deps, plus the
+  // send->recv tag edge (a recv may be *picked* before its send completes —
+  // it then blocks its comm lane — but scheduling it before the send exists
+  // would be meaningless, so treat the send as a dependency for candidacy
+  // while using its end time only for the recv's completion). Each entry
+  // records which edge it is.
+  struct Succ {
+    OpId to;
+    bool data;  ///< the send->recv edge: sets data_ready, not dep_ready
+  };
+  const auto known = [n](OpId id) { return id >= 0 && static_cast<std::size_t>(id) < n; };
+  std::vector<std::uint32_t> succ_begin(n + 1, 0);
   std::vector<int> missing(n, 0);
-  std::vector<std::vector<OpId>> succ(n);
-  std::vector<OpId> matching_send(n, kNoOp);
+  for (const Dep& d : sched.deps) {
+    if (!known(d.op)) continue;
+    if (!known(d.dep)) throw std::logic_error("reorder: dependency on an unknown op");
+    ++succ_begin[static_cast<std::size_t>(d.dep) + 1];
+    ++missing[static_cast<std::size_t>(d.op)];
+  }
   for (const Op& op : ops) {
-    const auto ui = static_cast<std::size_t>(op.id);
-    for (std::uint32_t e = deps.offset[ui]; e < deps.offset[ui + 1]; ++e) {
-      succ[static_cast<std::size_t>(deps.edges[e])].push_back(op.id);
-      ++missing[ui];
+    if (op.kind != OpKind::kRecv) continue;
+    ++succ_begin[static_cast<std::size_t>(matching_send(op)) + 1];
+    ++missing[static_cast<std::size_t>(op.id)];
+  }
+  std::partial_sum(succ_begin.begin(), succ_begin.end(), succ_begin.begin());
+  std::vector<Succ> succ(succ_begin[n]);
+  {
+    std::vector<std::uint32_t> at(succ_begin.begin(), succ_begin.end() - 1);
+    for (const Dep& d : sched.deps) {
+      if (known(d.op)) succ[at[static_cast<std::size_t>(d.dep)]++] = {d.op, false};
     }
-    if (op.kind == OpKind::kRecv) {
-      const OpId s = op.tag < 0
-                         ? kNoOp
-                         : send_by_tag[static_cast<std::size_t>(op.tag)];
-      if (s == kNoOp) throw std::logic_error("reorder: recv without send");
-      matching_send[ui] = s;
-      succ[static_cast<std::size_t>(s)].push_back(op.id);
-      ++missing[ui];
+    for (const Op& op : ops) {
+      if (op.kind == OpKind::kRecv) {
+        succ[at[static_cast<std::size_t>(matching_send(op))]++] = {op.id, true};
+      }
     }
   }
 
   std::vector<double> dep_ready(n, 0.0);
   std::vector<double> data_ready(n, 0.0);  // recv: matching send end
   std::vector<double> lane_free(static_cast<std::size_t>(sched.num_stages) * 2, 0.0);
-  const auto lane = [&](const Op& op) {
-    return static_cast<std::size_t>(op.stage) * 2 + (is_comm(op.kind) ? 1 : 0);
-  };
 
-  std::vector<OpId> candidates;
+  // What the pick reads of a ready op, all final once its last predecessor
+  // is placed. A recv ends at max(start, data); any other op at start + dur,
+  // so its `data` is -inf and one formula serves both.
+  struct Candidate {
+    double ready;  ///< latest end of its dependencies
+    double data;   ///< recv: its send's end; else -inf
+    double dur;    ///< recv: 0
+    std::uint32_t lane;
+    OpId id;
+  };
+  const auto candidate = [&](OpId id) {
+    const auto ui = static_cast<std::size_t>(id);
+    const Op& op = ops[ui];
+    const bool recv = op.kind == OpKind::kRecv;
+    return Candidate{
+        dep_ready[ui], recv ? data_ready[ui] : -kInf,
+        recv ? 0.0
+             : op.kind == OpKind::kSend ? cost.transfer_seconds(op.comm_elems)
+                                        : cost.compute_seconds(op),
+        static_cast<std::uint32_t>(op.stage) * 2 + (is_comm(op.kind) ? 1 : 0), id};
+  };
+  std::vector<Candidate> candidates;
   for (std::size_t i = 0; i < n; ++i) {
-    if (missing[i] == 0) candidates.push_back(static_cast<OpId>(i));
+    if (missing[i] == 0) candidates.push_back(candidate(static_cast<OpId>(i)));
   }
 
   struct Placed {
@@ -79,21 +116,12 @@ Schedule reorder_stage_programs(Schedule sched, const CostModel& cost) {
     std::size_t best = candidates.size();
     double best_start = kInf, best_end = kInf;
     for (std::size_t ci = 0; ci < candidates.size(); ++ci) {
-      const OpId id = candidates[ci];
-      const Op& op = ops[static_cast<std::size_t>(id)];
-      const std::size_t ui = static_cast<std::size_t>(id);
-      const double start = std::max(lane_free[lane(op)], dep_ready[ui]);
-      double end;
-      if (op.kind == OpKind::kRecv) {
-        end = std::max(start, data_ready[ui]);
-      } else if (op.kind == OpKind::kSend) {
-        end = start + cost.transfer_seconds(op.comm_elems);
-      } else {
-        end = start + cost.compute_seconds(op);
-      }
+      const Candidate& c = candidates[ci];
+      const double start = std::max(lane_free[c.lane], c.ready);
+      const double end = std::max(start + c.dur, c.data);
       if (best == candidates.size() || start < best_start ||
           (start == best_start &&
-           (end < best_end || (end == best_end && id < candidates[best])))) {
+           (end < best_end || (end == best_end && c.id < candidates[best].id)))) {
         best = ci;
         best_start = start;
         best_end = end;
@@ -102,21 +130,21 @@ Schedule reorder_stage_programs(Schedule sched, const CostModel& cost) {
     if (best == candidates.size()) {
       throw std::logic_error("reorder: dependency cycle");
     }
-    const OpId id = candidates[best];
+    const Candidate c = candidates[best];
     candidates[best] = candidates.back();
     candidates.pop_back();
-    const Op& op = ops[static_cast<std::size_t>(id)];
-    const std::size_t ui = static_cast<std::size_t>(id);
-    lane_free[lane(op)] = best_end;
-    placed[static_cast<std::size_t>(op.stage)].push_back({best_start, seq++, id});
+    lane_free[c.lane] = best_end;
+    placed[c.lane / 2].push_back({best_start, seq++, c.id});
     ++done;
-    for (OpId s : succ[ui]) {
-      const std::size_t us = static_cast<std::size_t>(s);
-      for (std::uint32_t e = deps.offset[us]; e < deps.offset[us + 1]; ++e) {
-        if (deps.edges[e] == id) dep_ready[us] = std::max(dep_ready[us], best_end);
+    const auto ui = static_cast<std::size_t>(c.id);
+    for (std::uint32_t e = succ_begin[ui]; e < succ_begin[ui + 1]; ++e) {
+      const auto us = static_cast<std::size_t>(succ[e].to);
+      if (succ[e].data) {
+        data_ready[us] = best_end;
+      } else {
+        dep_ready[us] = std::max(dep_ready[us], best_end);
       }
-      if (matching_send[us] == id) data_ready[us] = best_end;
-      if (--missing[us] == 0) candidates.push_back(s);
+      if (--missing[us] == 0) candidates.push_back(candidate(succ[e].to));
     }
   }
 

@@ -12,8 +12,13 @@
 // priority). Only the stage programs change: ops, dependencies, payloads and
 // memory effects are untouched, so validation results carry over.
 //
+// Placing an op costs O(1) per outgoing edge (successors are one CSR, each
+// entry marked dependency or send->recv) plus one scan of the ready ops,
+// each read from a compact record filled when it became ready.
+//
 // Used for FILO schedules with more than one loop, whose static generator
-// order over-serializes the loop wavefronts.
+// order over-serializes the loop wavefronts, and by the tuner's relist
+// mutation.
 namespace helix::core {
 
 Schedule reorder_stage_programs(Schedule sched, const CostModel& cost);

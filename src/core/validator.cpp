@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <array>
+#include <numeric>
 #include <optional>
 #include <ranges>
 #include <stdexcept>
 
 #include "core/compiled.h"
+#include "obs/prof.h"
 
 namespace helix::core {
 
@@ -75,48 +77,120 @@ std::string entry_name(const MicroBatchOrder::Entry& e) {
   return std::string(to_string(e.kind)) + "(layer " + std::to_string(e.layer) + ")";
 }
 
-/// Calls visit(mb, before, after, before_pos) for every per-micro-batch order
-/// edge among the ops `ids` names: micro batch by micro batch, the chain
-/// edges, then each follower after its anchor. An op the order does not
-/// hold, or of a micro batch outside [0, m), has no edges; of two ops at one
-/// (micro batch, position), the first in `ids` wins.
-template <typename Ids, typename Visit>
-void for_each_order_edge(const MicroBatchOrder& order, int m, const std::vector<Op>& ops,
-                         const Ids& ids, Visit&& visit) {
-  std::vector<std::pair<std::array<int, 3>, OpId>> placed;  // (mb, pos, seq)
-  int k = 0;
+/// An op the order places, for a micro batch in [0, m).
+struct Placed {
+  int mb;
+  int pos;
+  OpId id;
+};
+
+/// Stable counting sort of `in` into `out` by key(x) in [0, buckets).
+template <typename Key>
+void counting_sort(const std::vector<Placed>& in, std::size_t buckets, Key key,
+                   std::vector<Placed>& out) {
+  std::vector<std::uint32_t> start(buckets + 1, 0);
+  for (const Placed& x : in) ++start[static_cast<std::size_t>(key(x)) + 1];
+  std::partial_sum(start.begin(), start.end(), start.begin());
+  out.resize(in.size());
+  for (const Placed& x : in) out[start[static_cast<std::size_t>(key(x))]++] = x;
+}
+
+/// The ops `ids` names that the order places for a micro batch in [0, m),
+/// sorted by (micro batch, position) with ties in `ids` order: a stable
+/// counting sort by position, then one by micro batch.
+template <typename Ids>
+std::vector<Placed> group_by_position(const MicroBatchOrder& order, int m,
+                                      const std::vector<Op>& ops, const Ids& ids) {
+  std::vector<Placed> placed;
+  int mbs = 0;  // one past the largest micro batch placed
   for (const OpId id : ids) {
     const Op& op = ops[static_cast<std::size_t>(id)];
-    ++k;
     if (outside_order(op.kind) || op.mb < 0 || op.mb >= m) continue;
     const int pos = order.position(op.kind, op.layer, op.combines_w);
-    if (pos >= 0) placed.push_back({{op.mb, pos, k}, op.id});
+    if (pos < 0) continue;
+    placed.push_back({op.mb, pos, id});
+    mbs = std::max(mbs, op.mb + 1);
   }
-  std::sort(placed.begin(), placed.end());
+  std::vector<Placed> by_pos;
+  counting_sort(placed, static_cast<std::size_t>(order.size()),
+                [](const Placed& x) { return x.pos; }, by_pos);
+  counting_sort(by_pos, static_cast<std::size_t>(mbs), [](const Placed& x) { return x.mb; },
+                placed);
+  return placed;
+}
+
+/// Calls visit(mb, before, after, before_pos) for every per-micro-batch order
+/// edge among `placed` (as group_by_position returns it): micro batch by
+/// micro batch, the chain edges, then each follower after its anchor. Of two
+/// ops at one (micro batch, position), the first wins.
+template <typename Visit>
+void for_each_order_edge(const MicroBatchOrder& order, const std::vector<Placed>& placed,
+                         Visit&& visit) {
   for (std::size_t lo = 0, hi = 0; lo < placed.size(); lo = hi) {
-    const int mb = placed[lo].first[0];
-    while (hi < placed.size() && placed[hi].first[0] == mb) ++hi;
+    const int mb = placed[lo].mb;
+    while (hi < placed.size() && placed[hi].mb == mb) ++hi;
     const auto first = placed.begin() + static_cast<std::ptrdiff_t>(lo);
     const auto last = placed.begin() + static_cast<std::ptrdiff_t>(hi);
     OpId prev = kNoOp;  // the previous chain op, at prev_pos
     int prev_pos = -1;
     int last_pos = -1;  // the previous entry's position, to skip duplicates
     for (auto it = first; it != last; ++it) {
-      const int pos = it->first[1];
-      if (pos == last_pos) continue;
-      last_pos = pos;
-      const int anchor = order.at(pos).anchor;
+      if (it->pos == last_pos) continue;
+      last_pos = it->pos;
+      const int anchor = order.at(it->pos).anchor;
       if (anchor < 0) {
-        if (prev != kNoOp) visit(mb, prev, it->second, prev_pos);
-        prev = it->second;
-        prev_pos = pos;
+        if (prev != kNoOp) visit(mb, prev, it->id, prev_pos);
+        prev = it->id;
+        prev_pos = it->pos;
       } else {
         const auto a = std::lower_bound(
-            first, last, std::pair<std::array<int, 3>, OpId>{{mb, anchor, -1}, kNoOp});
-        if (a != last && a->first[1] == anchor) visit(mb, a->second, it->second, anchor);
+            first, last, anchor, [](const Placed& x, int pos) { return x.pos < pos; });
+        if (a != last && a->pos == anchor) visit(mb, a->id, it->id, anchor);
       }
     }
   }
+}
+
+/// Bounds of the witness walk: how many edges deep it goes, and how many
+/// predecessors it may examine before it gives up.
+constexpr int kWitnessDepth = 4;
+constexpr std::size_t kWitnessBudget = 64;
+
+/// Whether a short path a ->+ b is found for the order edge (a, b): a walk
+/// back from b over dependencies and a Recv's matching Send, at most
+/// kWitnessDepth edges deep, that reaches a or an op after a on a's stage
+/// and stream (stream edges lead from a to it). `lane_pos` holds each op's
+/// (stage, stream) in its high word and its place on that stream below. A
+/// walk that spends its budget certifies nothing.
+bool certified(const CompiledSchedule& cs, const std::vector<std::int64_t>& lane_pos,
+               OpId a, OpId b) {
+  const std::int64_t from = lane_pos[static_cast<std::size_t>(a)];
+  const auto hit = [&](OpId v) {
+    const std::int64_t at = lane_pos[static_cast<std::size_t>(v)];
+    return (at >> 32) == (from >> 32) && at >= from;
+  };
+  if (hit(b)) return true;
+  std::array<std::pair<OpId, int>, kWitnessBudget + 1> stack;
+  std::size_t top = 0;
+  std::size_t examined = 0;
+  stack[top++] = {b, 0};
+  // 1 when v certifies the edge, -1 when the budget is spent, else 0.
+  const auto step = [&](OpId v, int depth) {
+    if (hit(v)) return 1;
+    if (++examined > kWitnessBudget) return -1;
+    if (depth < kWitnessDepth) stack[top++] = {v, depth};
+    return 0;
+  };
+  while (top > 0) {
+    const auto [u, depth] = stack[--top];
+    for (const OpId* d = cs.deps_begin(u); d != cs.deps_end(u); ++d) {
+      if (const int r = step(*d, depth + 1); r != 0) return r > 0;
+    }
+    if (const OpId send = cs.matching_send[static_cast<std::size_t>(u)]; send != kNoOp) {
+      if (const int r = step(send, depth + 1); r != 0) return r > 0;
+    }
+  }
+  return false;
 }
 
 }  // namespace
@@ -182,46 +256,79 @@ ValidationResult validate_semantics(const CompiledSchedule& cs) {
 
   // No two ops may share a (micro batch, kind, layer) — keyed (mb, position)
   // where the order holds the op, else (mb, kind, layer) — and the deferred
-  // flush is one per micro batch at any layer.
+  // flush is one per micro batch at any layer. The ops the order places for
+  // a micro batch in [0, m) are grouped by (mb, position) in id order; the
+  // rest, only in malformed IR, are keyed (mb, -1, kind, layer) or (mb, pos,
+  // 0, 0) and sorted. No key of one run equals a key of the other, so
+  // walking both in key order reports duplicates as one sort of all keys
+  // would.
   const std::vector<Op>& ops = cs.schedule().ops;
-  std::vector<std::pair<std::array<int, 4>, OpId>> keys;
-  std::vector<int> chain_pos(n, -1);  ///< chain position of each chain op
+  const std::vector<Placed> placed =
+      group_by_position(order, m, ops, std::views::iota(OpId{0}, static_cast<OpId>(n)));
+  using Key = std::array<int, 4>;
+  std::vector<std::pair<Key, OpId>> stray;
   for (const Op& op : ops) {
     if (outside_order(op.kind)) continue;
-    const int mb = op.mb;
     const int pos = order.position(op.kind, op.layer, op.combines_w);
-    keys.push_back({{mb, pos, pos < 0 ? static_cast<int>(op.kind) : 0,
-                     pos < 0 ? op.layer : 0},
-                    op.id});
-    if (pos >= 0 && pos < order.chain_length() && mb >= 0 && mb < m) {
-      chain_pos[static_cast<std::size_t>(op.id)] = pos;
-    }
+    if (pos >= 0 && op.mb >= 0 && op.mb < m) continue;
+    stray.push_back({{op.mb, pos, pos < 0 ? static_cast<int>(op.kind) : 0,
+                      pos < 0 ? op.layer : 0},
+                     op.id});
   }
-  std::sort(keys.begin(), keys.end());
-  for (std::size_t k = 1; k < keys.size(); ++k) {
-    if (keys[k].first == keys[k - 1].first) {
-      res.fail("duplicate semantic op " + describe(cs.op(keys[k].second)));
+  std::sort(stray.begin(), stray.end());
+  const auto key = [](const Placed& x) { return Key{x.mb, x.pos, 0, 0}; };
+  for (std::size_t i = 0, j = 0; i < placed.size() || j < stray.size();) {
+    if (j == stray.size() || (i < placed.size() && key(placed[i]) < stray[j].first)) {
+      if (i > 0 && placed[i].mb == placed[i - 1].mb && placed[i].pos == placed[i - 1].pos) {
+        res.fail("duplicate semantic op " + describe(cs.op(placed[i].id)));
+      }
+      ++i;
+    } else {
+      if (j > 0 && stray[j].first == stray[j - 1].first) {
+        res.fail("duplicate semantic op " + describe(cs.op(stray[j].second)));
+      }
+      ++j;
     }
   }
   if (!res.ok) return res;
 
-  // Every order edge (a, b) must hold in the graph. One pass over the
-  // topological order per micro batch gives reach[v], the furthest chain
-  // position of that micro batch with a path to v; the edge holds when
-  // reach[b] is at least a's position. For a follower that is exact once the
-  // chain holds; for a chain edge, a later chain op reaching b could mask a
-  // missing a -> b, but then the last broken chain edge is caught, since
-  // nothing after it can reach back without a cycle.
+  // Every order edge (a, b) must hold in the graph. Most are certified by a
+  // short path a ->+ b (certified()). A micro batch with an edge the walk
+  // cannot certify gets one pass over the topological order, giving
+  // reach[v], the furthest chain position of that micro batch with a path to
+  // v; the edge holds when reach[b] is at least a's position. Along any path
+  // a ->+ b the pass carries reach >= a's position, so a certified edge is
+  // one the pass accepts, and skipping the pass for a micro batch whose
+  // edges are all certified changes no verdict. For a follower the pass is
+  // exact once the chain holds; for a chain edge, a later chain op reaching
+  // b could mask a missing a -> b, but then the last broken chain edge is
+  // caught, since nothing after it can reach back without a cycle.
+  std::vector<int> chain_pos(n, -1);  ///< chain position of each chain op
+  for (const Placed& x : placed) {
+    if (x.pos < order.chain_length()) chain_pos[static_cast<std::size_t>(x.id)] = x.pos;
+  }
   std::vector<std::array<int, 4>> edges;  // (mb, before, after, before_pos)
-  for_each_order_edge(order, m, ops, std::views::iota(OpId{0}, static_cast<OpId>(n)),
-                      [&edges](int mb, OpId a, OpId b, int a_pos) {
-                        edges.push_back({mb, a, b, a_pos});
-                      });
-  std::vector<int> reach(n);
+  for_each_order_edge(order, placed, [&edges](int mb, OpId a, OpId b, int a_pos) {
+    edges.push_back({mb, a, b, a_pos});
+  });
+  std::vector<std::int64_t> lane_pos(n);
+  for (int s = 0; s < cs.num_stages; ++s) {
+    std::int64_t next[2] = {std::int64_t{2 * s} << 32, std::int64_t{2 * s + 1} << 32};
+    for (const OpId* it = cs.program_begin(s); it != cs.program_end(s); ++it) {
+      lane_pos[static_cast<std::size_t>(*it)] = next[is_comm(cs.op(*it).kind) ? 1 : 0]++;
+    }
+  }
+  std::vector<int> reach;
+  std::int64_t passes = 0;
   for (std::size_t lo = 0, hi = 0; lo < edges.size(); lo = hi) {
     const int mb = edges[lo][0];
-    while (hi < edges.size() && edges[hi][0] == mb) ++hi;
-    std::fill(reach.begin(), reach.end(), -1);
+    bool proven = true;
+    for (hi = lo; hi < edges.size() && edges[hi][0] == mb; ++hi) {
+      proven = proven && certified(cs, lane_pos, edges[hi][1], edges[hi][2]);
+    }
+    if (proven) continue;
+    ++passes;
+    reach.assign(n, -1);
     for (const OpId u : cs.topo) {
       const auto ui = static_cast<std::size_t>(u);
       const int r = ops[ui].mb == mb ? std::max(reach[ui], chain_pos[ui]) : reach[ui];
@@ -239,6 +346,7 @@ ValidationResult validate_semantics(const CompiledSchedule& cs) {
       }
     }
   }
+  HELIX_PROF_COUNT("core.validate.order_passes", passes);
 
   // A stage's OptimStep must follow every gradient producer of that stage,
   // or a reordered linearization could apply a partial gradient sum (the
@@ -397,7 +505,7 @@ std::vector<std::pair<OpId, OpId>> semantic_order_edges(const Schedule& sched) {
     }
   }
   std::vector<std::pair<OpId, OpId>> edges;
-  for_each_order_edge(order, sched.num_micro_batches, sched.ops, ids,
+  for_each_order_edge(order, group_by_position(order, sched.num_micro_batches, sched.ops, ids),
                       [&edges](int, OpId a, OpId b, int) { edges.emplace_back(a, b); });
   for (const auto& program : sched.programs) {
     OpId optim = kNoOp;

@@ -88,8 +88,11 @@ ValidationResult validate_structure(const Schedule& sched);
 /// validate_structure, then the per-micro-batch order: no two ops share a
 /// (micro batch, kind, layer), the graph holds every per-micro-batch edge of
 /// semantic_order_edges, and each stage's OptimStep comes after every
-/// gradient producer in its compute stream. Costs one pass over the
-/// topological order per micro batch.
+/// gradient producer in its compute stream. Near-linear in the schedule: an
+/// order edge is certified by a path of at most four edges found walking
+/// back from its later op, and only a micro batch with an edge no such walk
+/// certifies costs a pass over the topological order, which judges all its
+/// edges (prof counter `core.validate.order_passes`).
 ValidationResult validate_semantics(const Schedule& sched);
 
 /// The same checks on a schedule already compiled, for callers that keep
@@ -121,7 +124,8 @@ ValidationResult validate_coverage(const Schedule& sched);
 /// stage every gradient producer before the stage's last OptimStep. The chain
 /// links the ops present, skipping missing ones; a follower without its
 /// anchor has no edge; the first op in program order wins a duplicated
-/// (micro batch, position). Generators encode most of these
+/// (micro batch, position). Linear time: the ops are grouped by (micro
+/// batch, position) with a counting sort. Generators encode most of these
 /// through stream order alone, so a transformation that reorders a stage
 /// program (tune::Table swaps, list re-scheduling) must honour them
 /// explicitly. Reads the stage programs. Throws std::invalid_argument when

@@ -1,7 +1,6 @@
 #include "tune/table.h"
 
 #include <algorithm>
-#include <map>
 #include <numeric>
 #include <stdexcept>
 #include <utility>
@@ -70,12 +69,19 @@ Table Table::lift(core::Schedule sched) {
   }
   const std::size_t total = sched.ops.size();
 
-  // Send id per rendezvous tag, to add the send->recv edges below.
-  std::map<std::int32_t, OpId> send_by_tag;
+  // Send id per rendezvous tag, to add the send->recv edges below: a dense
+  // table, as builder tags run densely from 0. A tag outside [0, total),
+  // which compile refuses, joins no edge.
+  const auto in_table = [total](std::int32_t tag) {
+    return tag >= 0 && static_cast<std::size_t>(tag) < total;
+  };
+  std::vector<OpId> send_by_tag(total, core::kNoOp);
   for (const auto& row : sched.programs) {
     for (const OpId id : row) {
       const Op& op = sched.ops[static_cast<std::size_t>(id)];
-      if (op.kind == OpKind::kSend && op.tag >= 0) send_by_tag[op.tag] = id;
+      if (op.kind == OpKind::kSend && in_table(op.tag)) {
+        send_by_tag[static_cast<std::size_t>(op.tag)] = id;
+      }
     }
   }
 
@@ -93,9 +99,9 @@ Table Table::lift(core::Schedule sched) {
         edges.emplace_back(deps.edges[e], id);
       }
       const Op& op = sched.ops[ui];
-      if (op.kind == OpKind::kRecv && op.tag >= 0) {
-        const auto it = send_by_tag.find(op.tag);
-        if (it != send_by_tag.end()) edges.emplace_back(it->second, id);
+      if (op.kind == OpKind::kRecv && in_table(op.tag)) {
+        const OpId send = send_by_tag[static_cast<std::size_t>(op.tag)];
+        if (send != core::kNoOp) edges.emplace_back(send, id);
       }
     }
   }
@@ -161,13 +167,17 @@ void Table::set_order(std::vector<std::vector<OpId>> rows) {
 
 bool Table::reorder(std::vector<std::vector<OpId>> rows) {
   if (rows == rows_) return false;
-  const auto sorted = [](std::vector<OpId> v) {
-    std::sort(v.begin(), v.end());
-    return v;
-  };
+  // Row r permutes the old row r when it is as long and names each op of
+  // that row once.
+  std::vector<std::uint8_t> seen(pos_.size(), 0);
   bool permutes = rows.size() == rows_.size();
   for (std::size_t r = 0; permutes && r < rows.size(); ++r) {
-    permutes = sorted(rows[r]) == sorted(rows_[r]);
+    permutes = rows[r].size() == rows_[r].size();
+    for (std::size_t i = 0; permutes && i < rows[r].size(); ++i) {
+      const auto at = find(rows[r][i]);
+      permutes = at && at->rank == static_cast<int>(r) &&
+                 !std::exchange(seen[static_cast<std::size_t>(rows[r][i])], 1);
+    }
   }
   if (!permutes) {
     throw std::invalid_argument("tune::Table::reorder: the new rows of schedule \"" +

@@ -56,7 +56,8 @@ class Table {
   /// well-formed store (core::store_fault finds nothing: what every
   /// ScheduleBuilder-produced schedule is) and a row order that is acyclic
   /// under the constraint graph; throws std::invalid_argument naming the
-  /// schedule otherwise.
+  /// schedule otherwise. A Send or Recv tag outside [0, ops.size()), which
+  /// compile refuses, joins no send->recv edge.
   static Table lift(core::Schedule sched);
 
   /// Reconstruct the Schedule: a copy of the lift's ops and dependency

@@ -16,6 +16,7 @@
 #include "core/cost.h"
 #include "core/ir.h"
 #include "core/validator.h"
+#include "obs/prof.h"
 #include "schedules/registry.h"
 #include "sim/simulator.h"
 #include "tune/table.h"
@@ -219,6 +220,39 @@ TEST(CompiledSchedule, CompiledFormMatchesPinnedHashes) {
   const double secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   std::printf("compiled-form pin: %.3f s\n", secs);
+}
+
+// validate_semantics certifies every order edge of every registry family on
+// the pin's grid by a short path, so no micro batch costs it a pass over the
+// topological order.
+TEST(CompiledSchedule, SemanticsCertifiesRegistrySchedulesWithoutAPass) {
+  const core::UnitCostModel cost;
+  obs::prof::Registry reg;
+  int schedules = 0;
+  {
+    obs::prof::AttachGuard guard(reg);
+    for (const schedules::FamilySpec& fam : schedules::family_registry()) {
+      for (int p = 2; p <= 4; ++p) {
+        for (const int m : {p, 2 * p, 4 * p}) {
+          for (const bool head : {false, true}) {
+            core::PipelineProblem pr = grid_problem(p);
+            pr.m = m;
+            pr.L = 2 * p;
+            pr.include_lm_head = head;
+            if (!fam.applicable(pr)) continue;
+            EXPECT_TRUE(core::validate_semantics(CompiledSchedule::build(fam.build(pr, cost))).ok)
+                << fam.key << " p" << p << " m" << m;
+            ++schedules;
+          }
+        }
+      }
+    }
+  }
+  const obs::prof::Report prof = reg.report();
+  const obs::prof::SiteStats* passes = prof.find("", "core.validate.order_passes");
+  ASSERT_NE(passes, nullptr);
+  EXPECT_EQ(passes->count, schedules);
+  EXPECT_EQ(passes->value, 0);
 }
 
 TEST(CompiledSchedule, TagTablesAndRendezvousAreDense) {

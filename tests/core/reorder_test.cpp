@@ -31,11 +31,12 @@ PipelineProblem problem(int p, int m, int L) {
 
 const UnitCostModel kUnit{};
 
-class Reorder : public ::testing::TestWithParam<std::tuple<int, int, int, bool>> {};
+using Shape = std::tuple<int, int, int, bool>;  ///< (p, m, L, two_fold)
 
-TEST_P(Reorder, PreservesStructureAndSemantics) {
-  const auto [p, m, L, two_fold] = GetParam();
-  if (m % filo_loop_size(p, two_fold) != 0) GTEST_SKIP();
+/// Reordering the FILO schedule of `shape` keeps its ops, stages and
+/// semantics.
+void expect_preserves(const Shape& shape) {
+  const auto [p, m, L, two_fold] = shape;
   const auto pr = problem(p, m, L);
   const auto orig = build_helix_schedule(
       pr, {.two_fold = two_fold, .recompute_without_attention = false});
@@ -56,10 +57,13 @@ TEST_P(Reorder, PreservesStructureAndSemantics) {
   }
 }
 
+/// FILO shapes whose m spans at least two loops.
+class Reorder : public ::testing::TestWithParam<Shape> {};
+
+TEST_P(Reorder, PreservesStructureAndSemantics) { expect_preserves(GetParam()); }
+
 TEST_P(Reorder, ImprovesMultiLoopMakespan) {
   const auto [p, m, L, two_fold] = GetParam();
-  const int q = filo_loop_size(p, two_fold);
-  if (m % q != 0 || m / q < 2) GTEST_SKIP();  // multi-loop only
   const auto pr = problem(p, m, L);
   const auto orig = build_helix_schedule(
       pr, {.two_fold = two_fold, .recompute_without_attention = false});
@@ -68,10 +72,16 @@ TEST_P(Reorder, ImprovesMultiLoopMakespan) {
   EXPECT_LE(sim.run(re).makespan, sim.run(orig).makespan + 1e-9);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, Reorder,
-    ::testing::Combine(::testing::Values(2, 4), ::testing::Values(8, 16),
-                       ::testing::Values(8), ::testing::Bool()));
+INSTANTIATE_TEST_SUITE_P(Shapes, Reorder,
+                         ::testing::Values(Shape{2, 8, 8, false}, Shape{2, 8, 8, true},
+                                           Shape{2, 16, 8, false}, Shape{2, 16, 8, true},
+                                           Shape{4, 8, 8, false}, Shape{4, 16, 8, false},
+                                           Shape{4, 16, 8, true}));
+
+// m = 8 two-fold at p = 4 is one loop, which reordering may leave as it is.
+TEST(ReorderSingleLoop, PreservesStructureAndSemantics) {
+  expect_preserves(Shape{4, 8, 8, true});
+}
 
 // The rows reorder_stage_programs picks for multi-loop FILO schedules, as
 // built and as the tuner's relist mutation feeds them (semantic order edges

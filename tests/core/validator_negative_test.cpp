@@ -4,11 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <string>
 
 #include "core/cost.h"
 #include "core/filo.h"
 #include "core/validator.h"
+#include "obs/prof.h"
 #include "schedules/zb1p.h"
 #include "sim/simulator.h"
 
@@ -145,6 +147,48 @@ TEST(ValidatorNegative, DetectsMissingSemanticOrder) {
   std::erase_if(s.deps, [attn](const Dep& d) { return d.op == attn->id; });
   attn->mb = static_cast<std::int16_t>(attn->mb == 0 ? 1 : 0);
   expect_names(validate_semantics(s), "FwdAttn(id=");
+}
+
+// The same fault with the micro batch kept, on the first FwdAttn: the
+// duplicate check passes, so the order check must find the edge no short
+// path certifies and judge its micro batch by the pass over the topological
+// order.
+TEST(ValidatorNegative, DetectsMissingOrderFromOnePass) {
+  PipelineProblem pr = problem();
+  pr.m = 4;  // two-fold needs m % 2p == 0
+  auto s = build_helix_schedule(pr, {.two_fold = true, .recompute_without_attention = false});
+  const auto attn = std::find_if(s.ops.begin(), s.ops.end(),
+                                 [](const Op& op) { return op.kind == OpKind::kFwdAttn; });
+  ASSERT_NE(attn, s.ops.end());
+  const auto pre = std::find_if(s.ops.begin(), s.ops.end(), [&attn](const Op& op) {
+    return op.kind == OpKind::kFwdPre && op.mb == attn->mb && op.layer == attn->layer;
+  });
+  ASSERT_NE(pre, s.ops.end());
+  const OpId id = attn->id;
+  std::erase_if(s.deps, [id](const Dep& d) { return d.op == id; });
+  obs::prof::Registry reg;
+  ValidationResult r;
+  {
+    obs::prof::AttachGuard guard(reg);
+    r = validate_semantics(s);
+  }
+  ASSERT_FALSE(r.ok);
+  EXPECT_EQ(r.errors.front(), "missing ordering: mb " + std::to_string(attn->mb) + ": " +
+                                  describe(*pre) + " -> " + describe(*attn));
+  EXPECT_GE(reg.report().counter_total("core.validate.order_passes"), 1);
+}
+
+// semantic_order_edges reads schedules compile has not checked: a micro
+// batch count far beyond the ops' own, or a negative one, sizes nothing.
+TEST(ValidatorNegative, OrderEdgesIgnoreAMicroBatchCountOutOfRange) {
+  auto s = valid();
+  const auto edges = semantic_order_edges(s);
+  s.num_micro_batches = std::numeric_limits<int>::max();
+  EXPECT_EQ(semantic_order_edges(s), edges);
+  s.num_micro_batches = -5;  // no micro batch is in range: OptimStep edges only
+  const auto optim_only = semantic_order_edges(s);
+  EXPECT_FALSE(optim_only.empty());
+  EXPECT_LT(optim_only.size(), edges.size());
 }
 
 TEST(CoverageNegative, BaselineCoversEverything) {

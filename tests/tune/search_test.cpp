@@ -156,6 +156,33 @@ TEST(Search, CompilesEachCandidateOnce) {
   EXPECT_EQ(compile->count, evaluated + rep.candidates_invalid);
 }
 
+// The IR gate certifies every order edge of every candidate of a search
+// with the tuner benchmark's options by a short path: validate_semantics
+// makes no pass over the topological order.
+TEST(Search, GateMakesNoOrderPass) {
+  const core::PipelineProblem pr = make_problem(8, 16, 16);
+  const core::UnitCostModel cost = priced_cost();
+  tune::TuneOptions opt;
+  opt.beam_width = 4;
+  opt.generations = 2;
+  opt.children_per_parent = 6;
+  opt.patience = 0;
+  opt.seed = 1;
+  opt.seed_families = {"helix_naive"};
+  obs::prof::Registry reg;
+  tune::TuneReport rep;
+  {
+    obs::prof::AttachGuard guard(reg);
+    rep = tune::tune(pr, cost, opt);
+  }
+  const obs::prof::Report prof = reg.report();
+  const obs::prof::SiteStats* passes = prof.find("", "core.validate.order_passes");
+  ASSERT_NE(passes, nullptr);
+  EXPECT_GT(rep.candidates_scored, 1);
+  EXPECT_GE(passes->count, rep.candidates_scored);
+  EXPECT_EQ(passes->value, 0);
+}
+
 TEST(Search, ThrowsWhenNoSeedFamilyApplies) {
   core::PipelineProblem pr = make_problem(4, 8, 8);
   pr.m = 3;  // helix families need m % 2p == 0

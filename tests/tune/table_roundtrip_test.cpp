@@ -220,6 +220,13 @@ TEST(TableRoundtrip, ReorderRefusesForeignOpsAndCyclicRows) {
   foreign[0].pop_back();
   EXPECT_THROW(t.reorder(foreign), std::invalid_argument);
 
+  auto doubled = rows;  // one op twice, another dropped
+  doubled[0][1] = doubled[0][0];
+  EXPECT_THROW(t.reorder(doubled), std::invalid_argument);
+  auto unknown = rows;  // an id no op has
+  unknown[0][0] = static_cast<core::OpId>(s.ops.size());
+  EXPECT_THROW(t.reorder(unknown), std::invalid_argument);
+
   auto cyclic = rows;  // a consumer ahead of its producer in one row
   const auto [producer, consumer] = first_dependent_pair(s, rows[0]);
   ASSERT_LT(producer, consumer);
