@@ -155,6 +155,9 @@ void for_each_order_edge(const MicroBatchOrder& order, const std::vector<Placed>
 /// predecessors it may examine before it gives up.
 constexpr int kWitnessDepth = 4;
 constexpr std::size_t kWitnessBudget = 64;
+/// The walk's (op, depth) stack: at most one entry per examined predecessor,
+/// plus the start.
+using WitnessStack = std::array<std::pair<OpId, int>, kWitnessBudget + 1>;
 
 /// Whether a short path a ->+ b is found for the order edge (a, b): a walk
 /// back from b over dependencies and a Recv's matching Send, at most
@@ -163,14 +166,13 @@ constexpr std::size_t kWitnessBudget = 64;
 /// (stage, stream) in its high word and its place on that stream below. A
 /// walk that spends its budget certifies nothing.
 bool certified(const CompiledSchedule& cs, const std::vector<std::int64_t>& lane_pos,
-               OpId a, OpId b) {
+               WitnessStack& stack, OpId a, OpId b) {
   const std::int64_t from = lane_pos[static_cast<std::size_t>(a)];
   const auto hit = [&](OpId v) {
     const std::int64_t at = lane_pos[static_cast<std::size_t>(v)];
     return (at >> 32) == (from >> 32) && at >= from;
   };
   if (hit(b)) return true;
-  std::array<std::pair<OpId, int>, kWitnessBudget + 1> stack;
   std::size_t top = 0;
   std::size_t examined = 0;
   stack[top++] = {b, 0};
@@ -318,13 +320,14 @@ ValidationResult validate_semantics(const CompiledSchedule& cs) {
       lane_pos[static_cast<std::size_t>(*it)] = next[is_comm(cs.op(*it).kind) ? 1 : 0]++;
     }
   }
+  WitnessStack stack{};
   std::vector<int> reach;
   std::int64_t passes = 0;
   for (std::size_t lo = 0, hi = 0; lo < edges.size(); lo = hi) {
     const int mb = edges[lo][0];
     bool proven = true;
     for (hi = lo; hi < edges.size() && edges[hi][0] == mb; ++hi) {
-      proven = proven && certified(cs, lane_pos, edges[hi][1], edges[hi][2]);
+      proven = proven && certified(cs, lane_pos, stack, edges[hi][1], edges[hi][2]);
     }
     if (proven) continue;
     ++passes;
