@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <stdexcept>
 
 #include "core/cost.h"
 #include "core/filo.h"
@@ -144,6 +145,13 @@ TEST(ReorderPin, RowsMatchPinnedHash) {
               static_cast<unsigned long long>(h));
   EXPECT_EQ(cases, 96);
   EXPECT_EQ(h, 0x02c18bef2a66371full);
+}
+
+TEST(ReorderMalformed, RefusesADependencyOnAnUnknownOp) {
+  Schedule s = build_helix_schedule(
+      problem(2, 4, 4), {.two_fold = false, .recompute_without_attention = false});
+  s.deps.push_back({0, static_cast<OpId>(s.ops.size())});
+  EXPECT_THROW(reorder_stage_programs(std::move(s), kUnit), std::logic_error);
 }
 
 TEST(ReorderTuned, PicksGeneratorOrderForSingleLoop) {
