@@ -1,9 +1,9 @@
 #include "check/harness.h"
 
 #include <cstring>
-#include <map>
 #include <set>
 #include <sstream>
+#include <utility>
 
 #include "core/cost.h"
 #include "core/validator.h"
@@ -48,7 +48,7 @@ bool params_bitwise_equal(const nn::ModelParams& a, const nn::ModelParams& b) {
   return true;
 }
 
-TrainerOptions options_for(const CheckConfig& c, ScheduleFamily f, bool async) {
+TrainerOptions options_for(const CheckConfig& c, ScheduleFamily f) {
   return {.family = f,
           .pipeline_stages = c.p,
           .recompute_without_attention = c.recompute,
@@ -56,7 +56,6 @@ TrainerOptions options_for(const CheckConfig& c, ScheduleFamily f, bool async) {
           .optimizer = c.adam ? runtime::OptimizerKind::kAdam
                               : runtime::OptimizerKind::kSgd,
           .threads = c.threads,
-          .async_comm = async,
           .comm_lookahead = c.lookahead};
 }
 
@@ -142,72 +141,101 @@ void check_losses(const std::vector<std::vector<double>>& got,
   }
 }
 
+/// The sequential reference (plain loops, no pipeline machinery): k steps
+/// on cfg's data and init seeds.
+struct Reference {
+  nn::Batch batch;
+  nn::ModelParams params;
+  nn::AdamState adam;
+  std::vector<std::vector<double>> losses;
+};
+
+Reference train_reference(const CheckConfig& cfg) {
+  const nn::MiniGptConfig model = cfg.model();
+  Reference ref{nn::Batch::random(model, cfg.data_seed),
+                nn::ModelParams::init(model, cfg.init_seed), {}, {}};
+  for (int s = 0; s < cfg.steps; ++s) {
+    const nn::StepResult r =
+        cfg.adam ? nn::reference_train_step_adam(ref.params, ref.batch,
+                                                 ref.adam, cfg.mlp_chunks)
+                 : nn::reference_train_step(ref.params, ref.batch,
+                                            cfg.mlp_chunks);
+    ref.losses.push_back(r.micro_batch_losses);
+  }
+  return ref;
+}
+
+/// Train `opt` under the blocking engine, then under the async engine, and
+/// apply every check of the contract. Builder and runtime exceptions become
+/// errors, so one bad run cannot mask the others.
+FamilyReport check_run(const CheckConfig& cfg, const Reference& ref,
+                       std::string name, TrainerOptions opt) {
+  HELIX_PROF_SCOPE("check.family");
+  FamilyReport rep;
+  rep.family = std::move(name);
+  const nn::MiniGptConfig model = cfg.model();
+  try {
+    // Blocking engine.
+    nn::ModelParams params = nn::ModelParams::init(model, cfg.init_seed);
+    Trainer trainer(params, opt);
+    check_ir(trainer.schedule(), rep);
+    check_sim_leaks(trainer.schedule(), rep);
+    std::vector<std::vector<double>> losses;
+    for (int s = 0; s < cfg.steps; ++s) {
+      losses.push_back(trainer.train_step(ref.batch).micro_batch_losses);
+    }
+    check_losses(losses, ref.losses, "blocking vs reference", rep);
+    if (!params_bitwise_equal(params, ref.params)) {
+      rep.errors.push_back(
+          "blocking vs reference: final weights diverge (max |d| = " +
+          std::to_string(params.max_diff(ref.params)) + ")");
+    }
+    if (cfg.adam) check_adam_union(trainer.adam_states(), ref.adam, rep);
+
+    // Async engine rerun: must agree bit-identically with the blocking
+    // engine (and therefore the reference).
+    opt.async_comm = true;
+    nn::ModelParams params_async = nn::ModelParams::init(model, cfg.init_seed);
+    Trainer async_trainer(params_async, opt);
+    std::vector<std::vector<double>> async_losses;
+    for (int s = 0; s < cfg.steps; ++s) {
+      async_losses.push_back(
+          async_trainer.train_step(ref.batch).micro_batch_losses);
+    }
+    check_losses(async_losses, losses, "async vs blocking", rep);
+    if (!params_bitwise_equal(params_async, params)) {
+      rep.errors.push_back(
+          "async vs blocking: final weights diverge (max |d| = " +
+          std::to_string(params_async.max_diff(params)) + ")");
+    }
+    if (cfg.adam) check_adam_union(async_trainer.adam_states(), ref.adam, rep);
+  } catch (const std::exception& e) {
+    rep.errors.push_back(std::string("exception: ") + e.what());
+  }
+  return rep;
+}
+
 }  // namespace
 
 ConfigReport run_config(const CheckConfig& cfg) {
   HELIX_PROF_SCOPE("check.config");
   ConfigReport report;
   report.config = cfg;
-  const nn::MiniGptConfig model = cfg.model();
-  const nn::Batch batch = nn::Batch::random(model, cfg.data_seed);
-
-  // Sequential reference (plain loops, no pipeline machinery).
-  nn::ModelParams ref = nn::ModelParams::init(model, cfg.init_seed);
-  nn::AdamState ref_adam;
-  std::vector<std::vector<double>> ref_losses;
-  for (int s = 0; s < cfg.steps; ++s) {
-    const nn::StepResult r =
-        cfg.adam ? nn::reference_train_step_adam(ref, batch, ref_adam,
-                                                 cfg.mlp_chunks)
-                 : nn::reference_train_step(ref, batch, cfg.mlp_chunks);
-    ref_losses.push_back(r.micro_batch_losses);
-  }
-
+  const Reference ref = train_reference(cfg);
   for (const ScheduleFamily family : applicable_families(cfg)) {
-    HELIX_PROF_SCOPE("check.family");
-    FamilyReport rep;
-    rep.family = family_name(family);
-    try {
-      // Blocking engine.
-      nn::ModelParams params = nn::ModelParams::init(model, cfg.init_seed);
-      Trainer trainer(params, options_for(cfg, family, /*async=*/false));
-      check_ir(trainer.schedule(), rep);
-      check_sim_leaks(trainer.schedule(), rep);
-      std::vector<std::vector<double>> losses;
-      for (int s = 0; s < cfg.steps; ++s) {
-        losses.push_back(trainer.train_step(batch).micro_batch_losses);
-      }
-      check_losses(losses, ref_losses, "blocking vs reference", rep);
-      if (!params_bitwise_equal(params, ref)) {
-        rep.errors.push_back(
-            "blocking vs reference: final weights diverge (max |d| = " +
-            std::to_string(params.max_diff(ref)) + ")");
-      }
-      if (cfg.adam) check_adam_union(trainer.adam_states(), ref_adam, rep);
-
-      // Async engine rerun: must agree bit-identically with the blocking
-      // engine (and therefore the reference).
-      nn::ModelParams params_async = nn::ModelParams::init(model, cfg.init_seed);
-      Trainer async_trainer(params_async,
-                            options_for(cfg, family, /*async=*/true));
-      std::vector<std::vector<double>> async_losses;
-      for (int s = 0; s < cfg.steps; ++s) {
-        async_losses.push_back(
-            async_trainer.train_step(batch).micro_batch_losses);
-      }
-      check_losses(async_losses, losses, "async vs blocking", rep);
-      if (!params_bitwise_equal(params_async, params)) {
-        rep.errors.push_back(
-            "async vs blocking: final weights diverge (max |d| = " +
-            std::to_string(params_async.max_diff(params)) + ")");
-      }
-      if (cfg.adam) check_adam_union(async_trainer.adam_states(), ref_adam, rep);
-    } catch (const std::exception& e) {
-      rep.errors.push_back(std::string("exception: ") + e.what());
-    }
-    report.families.push_back(std::move(rep));
+    report.families.push_back(
+        check_run(cfg, ref, family_name(family), options_for(cfg, family)));
   }
   return report;
+}
+
+FamilyReport check_schedule(const CheckConfig& cfg,
+                            const core::Schedule& schedule) {
+  // With an injected schedule the family only sets the stage count the
+  // schedule is checked against; any pipelined family reads pipeline_stages.
+  TrainerOptions opt = options_for(cfg, ScheduleFamily::kHelixNaive);
+  opt.schedule = &schedule;
+  return check_run(cfg, train_reference(cfg), schedule.name, opt);
 }
 
 std::string render_report(const ConfigReport& report) {

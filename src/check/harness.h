@@ -5,10 +5,12 @@
 
 #include "check/config.h"
 
-// Differential-equivalence harness (the helix_check tool's engine).
+// Differential-equivalence harness: the helix_check tool's engine and
+// helix_tune's numeric gate.
 //
-// For one CheckConfig, run_config trains the mini-GPT k steps under every
-// applicable schedule family and checks, per family:
+// run_config trains one CheckConfig under every applicable schedule family,
+// and check_schedule trains it under one given schedule. Both check each
+// run the same way:
 //  1. IR invariants on the exact schedule the trainer executes: structure
 //     (matched byte-equal Send/Recv pairs, balanced memory, acyclicity),
 //     per-micro-batch semantic order, and exactly-once (mb, layer, op-kind)
@@ -18,15 +20,16 @@
 //  3. Numeric equivalence, bit-identical (see DESIGN.md "Equivalence
 //     contract" for why no family needs a tolerance in this codebase):
 //     per-step micro-batch losses, final weights, and — under Adam — the
-//     union of per-rank optimizer moments against the sequential reference.
-//  4. Blocking vs async comm engines agree bit-identically (the async rerun
-//     is compared against both the blocking weights and the reference).
+//     union of per-rank optimizer moments and step counters against the
+//     sequential reference.
+//  4. Blocking vs async comm engines agree bit-identically (the async
+//     rerun's losses and weights are compared against the blocking run, its
+//     Adam state against the reference).
 namespace helix::check {
 
 struct FamilyReport {
-  std::string family;
-  std::string equivalence = "bit-identical";  ///< contract class asserted
-  std::vector<std::string> errors;            ///< empty = family passed
+  std::string family;               ///< family name, or the schedule's name
+  std::vector<std::string> errors;  ///< empty = the run passed
   bool ok() const { return errors.empty(); }
 };
 
@@ -45,6 +48,14 @@ struct ConfigReport {
 /// (never throws on divergence; builder/runtime exceptions are captured as
 /// errors so one bad family cannot mask the others).
 ConfigReport run_config(const CheckConfig& cfg);
+
+/// Train `cfg` under `schedule`, injected through TrainerOptions::schedule,
+/// and check it as run_config checks one family. The schedule's shape must
+/// match cfg's p/m/L and cfg.mlp_chunks how its ops were generated;
+/// recomputation is read off its ops, so cfg.recompute is not consulted.
+/// Keep cfg.threads = 0 to leave the global pool at the size it has.
+FamilyReport check_schedule(const CheckConfig& cfg,
+                            const core::Schedule& schedule);
 
 /// Render a one-line (ok) or multi-line (divergent) human-readable summary.
 std::string render_report(const ConfigReport& report);

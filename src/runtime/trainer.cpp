@@ -22,8 +22,8 @@ namespace helix::runtime {
 core::Schedule build_numeric_schedule(const nn::MiniGptConfig& cfg,
                                       const TrainerOptions& opt) {
   if (opt.schedule != nullptr) {
-    // Caller-supplied schedule (the autotuner's differential gate): execute
-    // it verbatim, after checking it actually fits this model configuration.
+    // Caller-supplied schedule (helix_tune's gate, check::check_schedule):
+    // execute it verbatim, after checking it actually fits this model.
     const core::Schedule& s = *opt.schedule;
     const int want_p =
         opt.family == ScheduleFamily::kSequential ? 1 : opt.pipeline_stages;
@@ -36,6 +36,20 @@ core::Schedule build_numeric_schedule(const nn::MiniGptConfig& cfg,
           " layers) does not match the trainer configuration (" +
           std::to_string(want_p) + ", " + std::to_string(cfg.micro_batches) +
           ", " + std::to_string(cfg.layers) + ")");
+    }
+    // The interpreter computes each loss and seeds the backward pass in the
+    // LmHeadLoss handler; without one per micro batch a step would die deep
+    // in slot routing.
+    const auto heads =
+        std::count_if(s.ops.begin(), s.ops.end(), [](const core::Op& op) {
+          return op.kind == core::OpKind::kLmHeadLoss;
+        });
+    if (heads != s.num_micro_batches) {
+      throw std::invalid_argument(
+          "TrainerOptions::schedule \"" + s.name + "\" has " +
+          std::to_string(heads) + " LmHeadLoss ops for " +
+          std::to_string(s.num_micro_batches) +
+          " micro batches; build it with include_lm_head = true");
     }
     return s;
   }

@@ -76,13 +76,13 @@ struct TrainerOptions {
   /// `health.enabled`.
   obs::HealthOptions health{};
   /// Execute this exact schedule instead of generating one from `family`
-  /// (the autotuner's differential-gate path: train a mutated schedule and
-  /// compare bitwise against the sequential reference). Borrowed — must
-  /// outlive Trainer construction — and must match the model configuration
-  /// (stages / micro batches / layers are validated). `mlp_chunks` must
-  /// still match how the schedule's ops were generated; recomputation
-  /// without attention is read off the schedule's RecomputePre /
-  /// RecomputePost ops.
+  /// (check::check_schedule's path: train a tuned schedule and compare
+  /// bitwise against the sequential reference). Borrowed — must outlive
+  /// Trainer construction — and must match the model configuration (stages
+  /// / micro batches / layers and one LmHeadLoss per micro batch are
+  /// validated). `mlp_chunks` must still match how the schedule's ops were
+  /// generated; recomputation without attention is read off the schedule's
+  /// RecomputePre / RecomputePost ops.
   const core::Schedule* schedule = nullptr;
 };
 

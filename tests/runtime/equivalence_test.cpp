@@ -168,6 +168,27 @@ TEST(Trainer, RejectsZeroMlpChunksByName) {
   EXPECT_NE(error.find("TrainerOptions::mlp_chunks"), std::string::npos) << error;
 }
 
+TEST(Trainer, RejectsHeadlessInjectedScheduleByName) {
+  // The interpreter seeds the backward pass in the LmHeadLoss handler, so a
+  // headless schedule is refused at construction, not deep in train_step.
+  core::PipelineProblem pr;
+  pr.p = 2;
+  pr.m = 4;
+  pr.L = 4;
+  pr.include_lm_head = false;
+  const core::Schedule headless = schedules::build_1f1b(pr);
+  nn::ModelParams params = nn::ModelParams::init(test_config(4, 4), 1);
+  const std::string error = invalid_argument_of([&] {
+    Trainer(params, {.family = ScheduleFamily::k1F1B,
+                     .pipeline_stages = 2,
+                     .schedule = &headless});
+  });
+  EXPECT_NE(error.find("TrainerOptions::schedule"), std::string::npos) << error;
+  EXPECT_NE(error.find("0 LmHeadLoss ops for 4 micro batches"),
+            std::string::npos)
+      << error;
+}
+
 TEST(Trainer, RecomputeRejectedForLayerwise) {
   const nn::MiniGptConfig cfg = test_config(4, 4);
   nn::ModelParams params = nn::ModelParams::init(cfg, 1);

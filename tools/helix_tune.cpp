@@ -5,14 +5,15 @@
 //
 // Single-shape mode seeds the beam search from every applicable family (or
 // the --seed-family subset), prints the per-family baselines next to the
-// tuned winner, and optionally (--gate) executes the winner numerically
-// against the sequential reference.
+// tuned winner, and optionally (--gate) checks the winner against the
+// equivalence contract (check::check_schedule): IR validators, simulator
+// leak check, and training bit-identical to the sequential reference.
 //
 // --table2 is the acceptance run: on each paper Table 2 shape, seed from
 // *only* the naive FILO schedule and require the search to rediscover a
 // schedule at least as good (simulated bubble) as the hand-built two-fold
-// FILO — then pass every winner through the numeric differential gate under
-// both comm engines. Exits 1 if any shape misses either bar.
+// FILO — then pass every winner through the same gate under both comm
+// engines. Exits 1 if any shape misses either bar.
 //
 // Bad input (an unknown flag, a flag without its value, a number that is
 // not whole or out of its flag's range, L not divisible by p, a shape no
@@ -32,11 +33,10 @@
 #include <string>
 #include <vector>
 
+#include "check/harness.h"
 #include "core/cost.h"
 #include "core/ir.h"
-#include "nn/model.h"
 #include "sim/sweep.h"
-#include "tune/gate.h"
 #include "tune/search.h"
 
 using namespace helix;
@@ -70,9 +70,8 @@ core::PipelineProblem make_problem(int p, int m, int L, std::int64_t comm_elems)
   pr.comm.boundary = comm_elems;
   pr.comm.pre_to_attn = comm_elems;
   pr.comm.attn_to_post = comm_elems;
-  // With the head: the numeric gate executes winners against a real mini-GPT
-  // (which always has an LM head), and the interpreter computes the loss in
-  // the kLmHeadLoss handler — a headless schedule is not executable.
+  // With the head: the gate trains winners on a real mini-GPT (which always
+  // has an LM head), and the Trainer refuses a headless schedule.
   pr.include_lm_head = true;
   // Table 1 stash ratios (2/3/11 units), so memory caps are meaningful.
   pr.act.pre = 2;
@@ -92,19 +91,11 @@ core::UnitCostModel make_cost(const Args& a) {
   return core::UnitCostModel{u};
 }
 
-/// Numeric differential gate on a tiny mini-GPT with the winner's shape.
+/// The equivalence contract (check::check_schedule) on a tiny mini-GPT with
+/// the winner's shape. threads = 0 keeps the pool HELIX_THREADS sized.
 bool run_gate(const tune::TunedCandidate& best, int p, int m, int L) {
-  nn::MiniGptConfig model;
-  model.layers = L;
-  model.micro_batches = m;
-  model.hidden = 16;
-  model.heads = 2;
-  model.seq = 8;
-  model.vocab = 32;
-  tune::GateConfig gc;
-  gc.model = model;
-  gc.pipeline_stages = p;
-  const tune::GateResult res = tune::differential_gate(best.schedule, gc);
+  const check::FamilyReport res = check::check_schedule(
+      {.p = p, .m = m, .L = L, .threads = 0}, best.schedule);
   if (res.ok()) {
     std::printf("  gate: bit-identical to the sequential reference "
                 "(blocking + async engines)\n");
@@ -142,7 +133,7 @@ void print_report(const tune::TuneReport& rep) {
 }
 
 /// Acceptance mode: naive seed must reach two-fold-or-better bubble on every
-/// Table 2 shape, and every winner must pass the numeric gate.
+/// Table 2 shape, and every winner must pass the gate.
 int run_table2(const Args& a) {
   const core::UnitCostModel cost = make_cost(a);
   sim::Sweep sweep;
